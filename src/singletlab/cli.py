@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from itertools import permutations
 
 from . import _json
@@ -37,44 +36,7 @@ from .singlet import (
 from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state
 from .uniformity import is_k_uniform, report_to_dict
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation."""
-
-    command: str
-    tolerance: float
-    seed: int
-    out: str | None
-    n: int | None = None
-    d: int | None = None
-    k: int | None = None
-    samples: int | None = None
-    trials: int | None = None
-    restarts: int | None = None
-    max_iters: int | None = None
-    state_path: str | None = None
-    basis_path: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            tolerance=args.tol,
-            seed=args.seed,
-            out=args.out,
-            n=getattr(args, "n", None),
-            d=getattr(args, "d", None),
-            k=getattr(args, "k", None),
-            samples=getattr(args, "samples", None),
-            trials=getattr(args, "trials", None),
-            restarts=getattr(args, "restarts", None),
-            max_iters=getattr(args, "max_iters", None),
-            state_path=getattr(args, "state", None),
-            basis_path=getattr(args, "basis", None),
-        )
+__all__ = ["main"]
 
 
 def _write(document: dict, path: str | None) -> None:
@@ -82,9 +44,9 @@ def _write(document: dict, path: str | None) -> None:
         _json.dump(document, path)
 
 
-def cmd_subspace(cfg: RunConfig) -> int:
-    shape = SystemShape(cfg.n, cfg.d)
-    basis = build_singlet_basis(shape, cfg.tolerance)
+def cmd_subspace(args: argparse.Namespace) -> int:
+    shape = SystemShape(args.n, args.d)
+    basis = build_singlet_basis(shape, args.tol)
     print(f"n: {shape.n}")
     print(f"d: {shape.d}")
     print(f"dimension: {basis.dimension}")
@@ -92,43 +54,43 @@ def cmd_subspace(cfg: RunConfig) -> int:
     if shape.divisible:
         print(f"K: {shape.copies}")
         print(f"support size: {SupportProfile.uniform(shape).size()}")
-    document = basis_to_dict(basis, seed=cfg.seed)
+    document = basis_to_dict(basis, seed=args.seed)
     if basis.dimension:
         print(f"permutation_phase: {document['permutation_phase']}")
-    _write(document, cfg.out)
+    _write(document, args.out)
     return 0
 
 
-def cmd_check_invariance(cfg: RunConfig) -> int:
-    state = load_state(cfg.state_path)
-    residual = verify_invariance(state, samples=cfg.samples, seed=cfg.seed)
-    passed = residual <= cfg.tolerance
-    print(f"samples: {cfg.samples}")
+def cmd_check_invariance(args: argparse.Namespace) -> int:
+    state = load_state(args.state)
+    residual = verify_invariance(state, samples=args.samples, seed=args.seed)
+    passed = residual <= args.tol
+    print(f"samples: {args.samples}")
     print(f"residual: {residual:.12g}")
     print(f"invariant: {'yes' if passed else 'no'}")
     _write(
         {
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "tolerance": cfg.tolerance,
+            "samples": args.samples,
+            "seed": args.seed,
+            "tolerance": args.tol,
             "residual": residual,
             "invariant": passed,
         },
-        cfg.out,
+        args.out,
     )
     return 0 if passed else 1
 
 
-def cmd_uniformity(cfg: RunConfig) -> int:
-    state = load_state(cfg.state_path)
-    report = is_k_uniform(state, cfg.k, cfg.tolerance)
+def cmd_uniformity(args: argparse.Namespace) -> int:
+    state = load_state(args.state)
+    report = is_k_uniform(state, args.k, args.tol)
     print(f"k: {report.k}")
     print(f"deficit: {report.deficit:.12g}")
     print(f"worst subsystem: {list(report.worst_subsystem)}")
     print(f"k-uniform: {'yes' if report.is_uniform else 'no'}")
     document = report_to_dict(report, state)
-    document["seed"] = cfg.seed
-    _write(document, cfg.out)
+    document["seed"] = args.seed
+    _write(document, args.out)
     return 0 if report.is_uniform else 1
 
 
@@ -147,8 +109,8 @@ def _load_members(path: str):
     return [state_from_dict(document)]
 
 
-def cmd_verify_lemmas(cfg: RunConfig) -> int:
-    members = _load_members(cfg.basis_path)
+def cmd_verify_lemmas(args: argparse.Namespace) -> int:
+    members = _load_members(args.basis)
     if not members:
         print("basis is empty; nothing to check")
         return 0
@@ -161,7 +123,7 @@ def cmd_verify_lemmas(cfg: RunConfig) -> int:
         balanced = member.has_uniform_support()
         try:
             report = extract_phase_function(
-                member, samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance
+                member, samples=args.samples, seed=args.seed, tol=args.tol
             )
             dichotomy = True
             phase = report.permutation_phase
@@ -174,7 +136,7 @@ def cmd_verify_lemmas(cfg: RunConfig) -> int:
             residual = None
             print(f"member {position}: phase measurement failed: {exc}")
         sign_relation = dichotomy and all(
-            check_sign_relation(member, perm, phase, cfg.tolerance)
+            check_sign_relation(member, perm, phase, args.tol)
             for perm in permutations(range(d))
         )
         member_ok = constant_counts and balanced and dichotomy and sign_relation
@@ -201,19 +163,19 @@ def cmd_verify_lemmas(cfg: RunConfig) -> int:
     print(f"all lemma checks: {'pass' if all_passed else 'FAIL'}")
     _write(
         {
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "tolerance": cfg.tolerance,
+            "seed": args.seed,
+            "samples": args.samples,
+            "tolerance": args.tol,
             "members": results,
             "passed": all_passed,
         },
-        cfg.out,
+        args.out,
     )
     return 0 if all_passed else 1
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    certificate = certify(SystemShape(cfg.n, cfg.d))
+def cmd_certify(args: argparse.Namespace) -> int:
+    certificate = certify(SystemShape(args.n, args.d))
     print(f"n: {certificate.n}")
     print(f"d: {certificate.d}")
     print(f"required diagonal mass: {certificate.required}")
@@ -225,39 +187,34 @@ def cmd_certify(cfg: RunConfig) -> int:
     print(f"AME possible: {'yes' if certificate.ame_possible else 'no'}")
     print(f"verdict: {certificate.verdict}")
     document = certificate_to_dict(certificate)
-    document["seed"] = cfg.seed
-    document["tolerance"] = cfg.tolerance
-    _write(document, cfg.out)
+    document["seed"] = args.seed
+    document["tolerance"] = args.tol
+    _write(document, args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    basis = load_basis(cfg.basis_path)
-    try:
-        check = verify_certificate_numerically(
-            basis, trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance
-        )
-    except CertificateViolationError as exc:
-        print(f"certificate violation: {exc}", file=sys.stderr)
-        return 1
+def cmd_verify(args: argparse.Namespace) -> int:
+    basis = load_basis(args.basis)
+    # A CertificateViolationError reaches main, which reports it with exit 1.
+    check = verify_certificate_numerically(basis, trials=args.trials, seed=args.seed, tol=args.tol)
     print(f"trials: {check.trials}")
     print(f"max identity residual: {check.max_identity_residual:.12g}")
     print(f"min pair deficit: {check.min_pair_deficit:.12g}")
     print(f"deficit floor: {check.deficit_floor:.12g}")
     print("certificate holds")
     document = check_to_dict(check)
-    document["tolerance"] = cfg.tolerance
-    _write(document, cfg.out)
+    document["tolerance"] = args.tol
+    _write(document, args.out)
     return 0
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    basis = load_basis(cfg.basis_path)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    basis = load_basis(args.basis)
     result = minimize_deficit(
         basis,
-        restarts=cfg.restarts,
-        max_iters=cfg.max_iters,
-        seed=cfg.seed,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        seed=args.seed,
     )
     print(f"dimension: {basis.dimension}")
     print(f"restarts: {result.restarts}")
@@ -265,7 +222,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     print(f"converged: {'yes' if result.converged else 'no'}")
     print(f"best deficit: {result.deficit:.12g}")
     print(f"certificate floor: {result.floor:.12g}")
-    _write(result_to_dict(result, basis), cfg.out)
+    _write(result_to_dict(result, basis), args.out)
     return 0
 
 
@@ -359,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return args.handler(cfg)
+        return args.handler(args)
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 1

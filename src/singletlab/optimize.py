@@ -48,9 +48,10 @@ class PairDeficitObjective:
     give ``tau_A(c) = sum_{jk} c_j conj(c_k) T_A[j, k]``, so the deficit
     ``sum_A ||tau_A(c) - I/d**2||_F**2`` expands into a quartic plus a
     quadratic term.  Both are contracted down once at construction
-    (``M[jk, ml] = sum_A Tr(T_A[j,k] T_A[m,l])`` and the block traces),
-    after which every evaluation is a dense matrix-vector product in
-    ``r**2`` dimensions:
+    (``M[jk, ml] = sum_A Tr(T_A[j,k] T_A[m,l])`` and the block traces):
+    one :func:`cross_marginal` call per pair gives every ``T_A[j, k]``,
+    and one matrix product over all pairs gives ``M``.  After that every
+    evaluation is a dense matrix-vector product in ``r**2`` dimensions:
 
         D(c) = w^T M w - (2/dim) Re(L . w) + P/dim,
         w = outer(c, conj(c)) flattened, P site pairs, dim = d**2.
@@ -66,21 +67,16 @@ class PairDeficitObjective:
         r = basis.dimension
         dim = shape.d**2
         self._dim = dim
-        quartic = np.zeros((r, r, r, r), dtype=complex)
-        linear = np.zeros((r, r), dtype=complex)
-        pairs = 0
-        for sites in combinations(range(shape.n), 2):
-            block = np.zeros((r, r, dim, dim), dtype=complex)
-            for j in range(r):
-                for k in range(r):
-                    block[j, k] = cross_marginal(basis.states[j], basis.states[k], sites)
-            quartic += np.einsum("jkab,mlba->jkml", block, block, optimize=True)
-            linear += np.trace(block, axis1=2, axis2=3)
-            pairs += 1
-        self._pairs = pairs
-        self._quartic = quartic.reshape(r * r, r * r)
-        self._linear = linear.reshape(r * r)
-        self._offset = pairs / dim
+        states = basis.states
+        # blocks[A, j, k] = T_A[j, k]
+        blocks = np.stack(
+            [cross_marginal(states, states, sites) for sites in combinations(range(shape.n), 2)]
+        )
+        rows = blocks.transpose(1, 2, 0, 3, 4).reshape(r * r, -1)
+        columns = blocks.transpose(1, 2, 0, 4, 3).reshape(r * r, -1)
+        self._quartic = rows @ columns.T
+        self._linear = np.trace(blocks, axis1=3, axis2=4).sum(axis=0).reshape(r * r)
+        self._offset = blocks.shape[0] / dim
 
     @property
     def dimension(self) -> int:

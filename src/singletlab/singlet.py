@@ -33,6 +33,7 @@ from .states import (
     SystemShape,
     apply_local,
     enumerate_support,
+    joint_amplitudes,
     permutation_sign,
     state_from_dict,
     state_to_dict,
@@ -150,12 +151,10 @@ class SingletBasis:
 
     def gram(self) -> np.ndarray:
         """Matrix of pairwise overlaps ``<b_j | b_k>``."""
-        r = len(self.states)
-        out = np.zeros((r, r), dtype=complex)
-        for j in range(r):
-            for k in range(r):
-                out[j, k] = self.states[j].overlap(self.states[k])
-        return out
+        if not self.states:
+            return np.zeros((0, 0), dtype=complex)
+        _, amps = joint_amplitudes(self.states)
+        return amps.conj() @ amps.T
 
     def combine(self, coefficients: Sequence[complex]) -> PureState:
         """Linear combination of basis members."""
@@ -388,7 +387,8 @@ def extract_phase_function(
     permutation_phase = PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
 
     rng = np.random.default_rng(seed)
-    target = 0.35  # determinant argument, kept small so integer multiples stay principal
+    # Determinant argument theta with K * theta <= 2 < pi for K = n // d.
+    target = min(0.35, 2.0 / max(1, state.shape.n // d))
     power: int | None = None
     for _ in range(samples):
         u = haar_unitary(d, rng)
@@ -440,11 +440,10 @@ def check_sign_relation(
     if sorted(perm) != list(range(state.shape.d)):
         raise ValueError(f"{perm} is not a permutation of the {state.shape.d} labels")
     factor = 1.0 if permutation_phase == PHASE_TRIVIAL else float(permutation_sign(perm))
-    for index, value in state.amplitudes.items():
-        relabeled = tuple(perm[entry] for entry in index)
-        if abs(state.amplitude(relabeled) - factor * value) > tol:
-            return False
-    return True
+    # image[perm(i)] = amplitude[i]; compare amplitude[perm(i)] at every stored i
+    image = apply_local(state, LocalOperator.basis_permutation(perm))
+    _, (amps, moved) = joint_amplitudes([state, image])
+    return bool(np.all(np.abs(amps - factor * moved)[moved != 0.0] <= tol))
 
 
 def all_label_permutations(d: int):

@@ -1,19 +1,24 @@
-"""Sparse multiparticle pure states and one-site operations.
+"""Multiparticle pure states and one-site operations.
 
-States of ``n`` particles with ``d`` levels each are stored as sparse
-maps from multi-indices (tuples of site labels) to complex amplitudes.
+States of ``n`` particles with ``d`` levels each keep their nonzero
+amplitudes as numpy arrays: a small-int matrix with one multi-index
+(tuple of site labels) per row, and an aligned complex vector.
 Everything downstream, from collective-invariance checks to subsystem
 marginals, is built on the handful of primitives defined here:
 
 * :class:`SystemShape`, :class:`SupportProfile`: particle count, level
   count, and per-label occupation bookkeeping.
-* :class:`PureState`: an immutable sparse state with a canonical global
-  phase, JSON (de)serialization, and dense-vector bridges.
+* :class:`PureState`: an immutable state with a canonical global phase,
+  a read-only tuple-keyed view of its amplitudes, JSON
+  (de)serialization, and dense-vector bridges.
 * :class:`LocalOperator`: a one-site operator applied identically to
   every site, with exact fast paths for basis permutations and
   diagonal phases.
 * :func:`apply_local`, :func:`permute_particles`, :func:`apply_collective`,
-  :func:`partial_trace`: the operations the rest of the package uses.
+  :func:`partial_trace`, :func:`cross_marginal`: the operations the rest
+  of the package uses.  Every marginal comes from one kernel that
+  scatters amplitudes into a (subsystem index) x (complement row)
+  matrix ``X`` and returns ``X @ Y^H``; no ``d**n`` vector is formed.
 
 Sites are indexed ``0 .. n-1`` and levels are labeled ``0 .. d-1``
 throughout.  Multi-indices compare lexicographically, which fixes the
@@ -44,6 +49,7 @@ __all__ = [
     "apply_collective",
     "partial_trace",
     "cross_marginal",
+    "joint_amplitudes",
     "superpose",
     "state_to_dict",
     "state_from_dict",
@@ -187,22 +193,60 @@ def enumerate_support(shape: SystemShape, profile: SupportProfile) -> list[tuple
     return out
 
 
-def _canonical_phase(amplitudes: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
-    """Rotate the global phase so the lexicographically first amplitude is real positive."""
-    if not amplitudes:
-        return amplitudes
-    lead_key = min(amplitudes)
-    lead = amplitudes[lead_key]
-    if lead.imag == 0.0 and lead.real > 0.0:
-        return amplitudes
-    phase = lead / abs(lead)
-    rotated = {key: value / phase for key, value in amplitudes.items()}
-    rotated[lead_key] = complex(abs(lead), 0.0)
-    return rotated
+# --- index arrays ----------------------------------------------------------
+
+
+def _weights(d: int, width: int) -> np.ndarray:
+    """Place values that encode ``width`` base-``d`` digits as one int64."""
+    return d ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _group_rows(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a digit matrix, in lexicographic order.
+
+    Returns ``(inverse, first)``: ``rows[first]`` are the distinct rows and
+    ``inverse[i]`` is the position of ``rows[i]`` among them.  Rows are
+    packed base ``d`` into int64 words below ``2**62``: one word when the
+    whole row fits, several compared in order when not (as at n = 70).
+    """
+    count, width = rows.shape
+    step = max(1, width if d == 1 else int(62 // math.log2(d)))
+    starts = range(0, max(width, 1), step)
+    keys = np.stack([rows[:, lo : lo + step] @ _weights(d, min(step, width - lo)) for lo in starts])
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    fresh = np.ones(count, dtype=bool)
+    fresh[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return inverse, order[fresh]
+
+
+def _index_matrix(shape: SystemShape, indices: list) -> np.ndarray:
+    """Validate multi-indices and stack them as rows of a small-int matrix."""
+    rows = np.array(indices) if indices else np.zeros((0, shape.n), dtype=np.int64)
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"multi-index entries must be integers, got {rows.dtype} entries")
+    if rows.ndim != 2 or rows.shape[1] != shape.n:
+        raise ValueError(f"every multi-index must have length {shape.n}")
+    bad = np.flatnonzero(np.any((rows < 0) | (rows >= shape.d), axis=1))
+    if bad.size:
+        raise ValueError(f"entry out of range for d={shape.d} in {tuple(rows[bad[0]].tolist())}")
+    return rows
+
+
+def _common_shape(states: Sequence["PureState"]) -> SystemShape:
+    if not states:
+        raise ValueError("need at least one state")
+    shape = states[0].shape
+    for state in states:
+        if state.shape != shape:
+            raise ValueError(f"shape mismatch: {state.shape} vs {shape}")
+    return shape
 
 
 class PureState:
-    """Immutable sparse pure state.
+    """Immutable pure state.
 
     Parameters
     ----------
@@ -219,7 +263,7 @@ class PureState:
         and can be measured.
     """
 
-    __slots__ = ("_shape", "_amplitudes")
+    __slots__ = ("_shape", "_digits", "_values", "_view")
 
     def __init__(
         self,
@@ -228,37 +272,75 @@ class PureState:
         *,
         canonicalize: bool = True,
     ) -> None:
-        cleaned: dict[tuple[int, ...], complex] = {}
-        for index, value in amplitudes.items():
-            idx = shape.validate_index(index)
-            amp = complex(value)
-            if amp != 0.0:
-                if idx in cleaned:
-                    raise ValueError(f"duplicate multi-index {idx}")
-                cleaned[idx] = amp
-        if canonicalize:
-            cleaned = _canonical_phase(cleaned)
+        items = list(amplitudes.items())
+        digits = _index_matrix(shape, [index for index, _ in items])
+        values = np.array([complex(value) for _, value in items], dtype=complex)
+        self._assign(shape, digits, values, canonicalize)
+
+    @classmethod
+    def _from_arrays(
+        cls, shape: SystemShape, digits: np.ndarray, values: np.ndarray, canonicalize: bool = False
+    ) -> "PureState":
+        """Construct from already validated digit rows and aligned amplitudes."""
+        state = cls.__new__(cls)
+        state._assign(shape, digits, values, canonicalize)
+        return state
+
+    def _assign(
+        self, shape: SystemShape, digits: np.ndarray, values: np.ndarray, canonicalize: bool
+    ) -> None:
+        inverse, first = _group_rows(digits, shape.d)
+        if first.size != values.size:
+            repeated = first[np.flatnonzero(np.bincount(inverse) > 1)[0]]
+            raise ValueError(f"duplicate multi-index {tuple(digits[repeated].tolist())}")
+        first = first[values[first] != 0.0]
+        digits = digits[first].astype(np.min_scalar_type(shape.d - 1))
+        values = values[first]
+        if canonicalize and values.size and not (values[0].imag == 0.0 and values[0].real > 0.0):
+            lead = complex(values[0])
+            phase = lead / abs(lead)
+            # Python's complex division, not numpy's multiply-by-reciprocal,
+            # so canonical amplitudes keep the same bits in written files.
+            values = np.array([value / phase for value in values.tolist()])
+            values[0] = abs(lead)
+        digits.setflags(write=False)
+        values.setflags(write=False)
         self._shape = shape
-        self._amplitudes = dict(sorted(cleaned.items()))
+        self._digits = digits
+        self._values = values
+        self._view: Mapping[tuple[int, ...], complex] | None = None
 
     @property
     def shape(self) -> SystemShape:
         return self._shape
 
     @property
+    def digits(self) -> np.ndarray:
+        """Stored multi-indices as rows of a read-only integer array, in lexicographic order."""
+        return self._digits
+
+    @property
+    def values(self) -> np.ndarray:
+        """Stored (nonzero) amplitudes as a read-only vector aligned with :attr:`digits`."""
+        return self._values
+
+    @property
     def amplitudes(self) -> Mapping[tuple[int, ...], complex]:
         """Read-only view of the stored (nonzero) amplitudes."""
-        return MappingProxyType(self._amplitudes)
+        if self._view is None:
+            keys = map(tuple, self._digits.tolist())
+            self._view = MappingProxyType(dict(zip(keys, self._values.tolist())))
+        return self._view
 
     def support(self) -> list[tuple[int, ...]]:
         """Stored multi-indices in lexicographic order."""
-        return list(self._amplitudes)
+        return [tuple(row) for row in self._digits.tolist()]
 
     def amplitude(self, index: Sequence[int]) -> complex:
-        return self._amplitudes.get(self._shape.validate_index(index), 0.0 + 0.0j)
+        return self.amplitudes.get(self._shape.validate_index(index), 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amplitudes.values()))
+        return float(np.linalg.norm(self._values))
 
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
@@ -267,41 +349,24 @@ class PureState:
         nrm = self.norm()
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState(
-            self._shape,
-            {k: v / nrm for k, v in self._amplitudes.items()},
-            canonicalize=False,
-        )
+        return PureState._from_arrays(self._shape, self._digits, self._values / nrm)
 
     def canonicalized(self) -> "PureState":
-        return PureState(self._shape, self._amplitudes, canonicalize=True)
+        return PureState._from_arrays(self._shape, self._digits, self._values, canonicalize=True)
 
     def scaled(self, factor: complex) -> "PureState":
         """Multiply every amplitude by ``factor`` (no phase canonicalization)."""
-        return PureState(
-            self._shape,
-            {k: v * factor for k, v in self._amplitudes.items()},
-            canonicalize=False,
-        )
+        return PureState._from_arrays(self._shape, self._digits, self._values * complex(factor))
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product ``<self|other>`` (conjugate-linear in ``self``)."""
-        if other._shape != self._shape:
-            raise ValueError(f"shape mismatch: {self._shape} vs {other._shape}")
-        small, large = self._amplitudes, other._amplitudes
-        if len(large) < len(small):
-            return sum(large[k].conjugate() * small[k] for k in large if k in small).conjugate()
-        return sum(small[k].conjugate() * large[k] for k in small if k in large)
+        _, amps = joint_amplitudes([self, other])
+        return complex(np.vdot(amps[0], amps[1]))
 
     def distance(self, other: "PureState") -> float:
         """Euclidean distance between amplitude vectors."""
-        if other._shape != self._shape:
-            raise ValueError(f"shape mismatch: {self._shape} vs {other._shape}")
-        keys = set(self._amplitudes) | set(other._amplitudes)
-        gap = 0.0
-        for k in keys:
-            gap += abs(self._amplitudes.get(k, 0.0) - other._amplitudes.get(k, 0.0)) ** 2
-        return math.sqrt(gap)
+        _, amps = joint_amplitudes([self, other])
+        return float(np.linalg.norm(amps[0] - amps[1]))
 
     def allclose(self, other: "PureState", tol: float = DEFAULT_TOL) -> bool:
         return self.distance(other) <= tol
@@ -313,14 +378,10 @@ class PureState:
         per-label counts, which is the support pattern collective
         diagonal-phase invariance enforces.
         """
-        profile: SupportProfile | None = None
-        for index in self._amplitudes:
-            current = SupportProfile.of_index(index, self._shape.d)
-            if profile is None:
-                profile = current
-            elif current != profile:
-                return None
-        return profile
+        counts = np.sum(self._digits[:, :, None] == np.arange(self._shape.d), axis=1)
+        if not counts.size or np.any(counts != counts[0]):
+            return None
+        return SupportProfile(tuple(counts[0].tolist()))
 
     def has_uniform_support(self) -> bool:
         """Whether every stored index occupies each label exactly ``n // d`` times."""
@@ -331,10 +392,8 @@ class PureState:
 
     def to_dense(self) -> np.ndarray:
         """Amplitude vector of length ``d**n`` in lexicographic index order."""
-        shape = self._shape
-        vec = np.zeros(shape.total_dimension, dtype=complex)
-        for index, value in self._amplitudes.items():
-            vec[_encode(index, shape.d)] = value
+        vec = np.zeros(self._shape.total_dimension, dtype=complex)
+        vec[self._digits @ _weights(self._shape.d, self._shape.n)] = self._values
         return vec
 
     @classmethod
@@ -348,45 +407,50 @@ class PureState:
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         if vec.size != shape.total_dimension:
             raise ValueError(f"vector has {vec.size} entries, expected {shape.total_dimension}")
-        amps: dict[tuple[int, ...], complex] = {}
-        for flat in np.flatnonzero(vec):
-            amps[_decode(int(flat), shape)] = complex(vec[flat])
-        return cls(shape, amps, canonicalize=canonicalize)
+        flat = np.flatnonzero(vec)
+        digits = np.stack(np.unravel_index(flat, (shape.d,) * shape.n), axis=1)
+        return cls._from_arrays(shape, digits, vec[flat], canonicalize=canonicalize)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PureState):
             return NotImplemented
-        return self._shape == other._shape and self._amplitudes == other._amplitudes
+        return (
+            self._shape == other._shape
+            and np.array_equal(self._digits, other._digits)
+            and np.array_equal(self._values, other._values)
+        )
 
     def __hash__(self) -> int:
-        return hash((self._shape, tuple(self._amplitudes.items())))
+        # Adding 0.0 turns -0.0 into 0.0, so equal states hash alike.
+        return hash((self._shape, self._digits.tobytes(), (self._values + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"PureState(n={self._shape.n}, d={self._shape.d}, "
-            f"terms={len(self._amplitudes)}, norm={self.norm():.6g})"
+            f"terms={self._values.size}, norm={self.norm():.6g})"
         )
 
 
-def _encode(index: Sequence[int], d: int) -> int:
-    flat = 0
-    for entry in index:
-        flat = flat * d + entry
-    return flat
+def joint_amplitudes(states: Sequence[PureState]) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of same-shape states over their joint support.
 
-
-def _decode(flat: int, shape: SystemShape) -> tuple[int, ...]:
-    out = []
-    for _ in range(shape.n):
-        flat, rem = divmod(flat, shape.d)
-        out.append(rem)
-    return tuple(reversed(out))
+    Returns ``(digits, amps)``: the union of the stored multi-indices in
+    lexicographic order, and per state a row of its amplitudes on them.
+    """
+    shape = _common_shape(states)
+    if len(states) == 1:
+        return states[0].digits, states[0].values[None, :]
+    digits = np.concatenate([state.digits for state in states])
+    inverse, first = _group_rows(digits, shape.d)
+    owner = np.repeat(np.arange(len(states)), [state.values.size for state in states])
+    amps = np.zeros((len(states), first.size), dtype=complex)
+    amps[owner, inverse] = np.concatenate([state.values for state in states])
+    return digits[first], amps
 
 
 _KIND_GENERAL = "general-unitary"
 _KIND_PERMUTATION = "basis-permutation"
 _KIND_DIAGONAL = "diagonal-phase"
-_KIND_GENERATOR = "lie-generator"
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +459,7 @@ class LocalOperator:
 
     ``basis-permutation`` and ``diagonal-phase`` operators act on sparse
     states by exact index relabeling and phase multiplication; the
-    general kinds go through a dense tensor contraction.
+    general kind goes through a dense tensor contraction.
     """
 
     matrix: np.ndarray
@@ -442,17 +506,6 @@ class LocalOperator:
         phases = [cmath.exp(1j * float(a)) for a in angles]
         return cls(np.diag(phases), _KIND_DIAGONAL)
 
-    @classmethod
-    def generator(cls, matrix: np.ndarray) -> "LocalOperator":
-        """Wrap an arbitrary (not necessarily unitary) one-site matrix."""
-        return cls(np.asarray(matrix, dtype=complex), _KIND_GENERATOR)
-
-    def sign(self) -> int:
-        """Parity of a basis-permutation operator: +1 even, -1 odd."""
-        if self.permutation is None:
-            raise ValueError("sign() is only defined for basis-permutation operators")
-        return permutation_sign(self.permutation)
-
 
 def permutation_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation given in one-line notation ``k -> perm[k]``."""
@@ -490,20 +543,11 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
     if op.d != state.shape.d:
         raise ValueError(f"operator acts on d={op.d}, state has d={state.shape.d}")
     if op.kind == _KIND_PERMUTATION:
-        perm = op.permutation
-        assert perm is not None
-        relabeled = {
-            tuple(perm[entry] for entry in index): value
-            for index, value in state.amplitudes.items()
-        }
-        return PureState(state.shape, relabeled, canonicalize=False)
+        relabel = np.array(op.permutation, dtype=state.digits.dtype)
+        return PureState._from_arrays(state.shape, relabel[state.digits], state.values)
     if op.kind == _KIND_DIAGONAL:
-        diag = np.diagonal(op.matrix)
-        rotated = {
-            index: value * math.prod((complex(diag[entry]) for entry in index), start=1.0 + 0.0j)
-            for index, value in state.amplitudes.items()
-        }
-        return PureState(state.shape, rotated, canonicalize=False)
+        phases = np.diagonal(op.matrix)[state.digits].prod(axis=1)
+        return PureState._from_arrays(state.shape, state.digits, state.values * phases)
     n, d = state.shape.n, state.shape.d
     tensor = state.to_dense().reshape((d,) * n)
     for axis in range(n):
@@ -521,11 +565,7 @@ def permute_particles(state: PureState, omega: Sequence[int]) -> PureState:
     omega = tuple(int(w) for w in omega)
     if sorted(omega) != list(range(n)):
         raise ValueError(f"{omega} is not a permutation of 0..{n - 1}")
-    moved = {
-        tuple(index[omega[a]] for a in range(n)): value
-        for index, value in state.amplitudes.items()
-    }
-    return PureState(state.shape, moved, canonicalize=False)
+    return PureState._from_arrays(state.shape, state.digits[:, omega], state.values)
 
 
 def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
@@ -536,17 +576,23 @@ def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
     traceless.  Sparse: cost is ``O(terms * n * d)``.
     """
     g = np.asarray(matrix, dtype=complex)
-    d = state.shape.d
+    n, d = state.shape.n, state.shape.d
     if g.shape != (d, d):
         raise ValueError(f"generator must be {d}x{d}, got {g.shape}")
-    out: dict[tuple[int, ...], complex] = {}
-    for index, value in state.amplitudes.items():
-        for site, entry in enumerate(index):
-            column = g[:, entry]
-            for target in np.flatnonzero(column):
-                image = index[:site] + (int(target),) + index[site + 1 :]
-                out[image] = out.get(image, 0.0 + 0.0j) + complex(column[target]) * value
-    return PureState(state.shape, {k: v for k, v in out.items() if v != 0.0}, canonicalize=False)
+    images, values = [], []
+    for site in range(n):
+        for target in range(d):
+            weight = g[target, state.digits[:, site]]
+            hit = np.flatnonzero(weight)
+            image = state.digits[hit]
+            image[:, site] = target
+            images.append(image)
+            values.append(weight[hit] * state.values[hit])
+    images = np.concatenate(images)
+    rows, first = _group_rows(images, d)
+    total = np.zeros(first.size, dtype=complex)
+    np.add.at(total, rows, np.concatenate(values))
+    return PureState._from_arrays(state.shape, images[first], total)
 
 
 def superpose(
@@ -560,18 +606,9 @@ def superpose(
         raise ValueError("need one coefficient per state")
     if not states:
         raise ValueError("cannot superpose an empty list of states")
-    shape = states[0].shape
-    total: dict[tuple[int, ...], complex] = {}
-    for coeff, state in zip(coefficients, states):
-        if state.shape != shape:
-            raise ValueError(f"shape mismatch: {state.shape} vs {shape}")
-        c = complex(coeff)
-        if c == 0.0:
-            continue
-        for index, value in state.amplitudes.items():
-            total[index] = total.get(index, 0.0 + 0.0j) + c * value
-    total = {k: v for k, v in total.items() if v != 0.0}
-    return PureState(shape, total, canonicalize=canonicalize)
+    digits, amps = joint_amplitudes(states)
+    total = np.asarray(coefficients, dtype=complex) @ amps
+    return PureState._from_arrays(states[0].shape, digits, total, canonicalize=canonicalize)
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,7 +637,8 @@ class MarginalMatrix:
 
     def entry(self, row: Sequence[int], col: Sequence[int]) -> complex:
         """Matrix element between two subsystem multi-indices."""
-        return complex(self.matrix[_encode(row, self.d), _encode(col, self.d)])
+        weights = _weights(self.d, len(self.sites))
+        return complex(self.matrix[int(np.dot(row, weights)), int(np.dot(col, weights))])
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -617,21 +655,39 @@ class MarginalMatrix:
         return self.uniform_deviation() <= tol
 
 
-def _site_split(index: tuple[int, ...], keep: Sequence[int], drop: Sequence[int]):
-    return tuple(index[s] for s in keep), tuple(index[s] for s in drop)
+def _marginal_factors(states: Sequence[PureState], keep: list[int]) -> np.ndarray:
+    """One ``d**k x m`` factor ``X`` per state, with ``Tr_B |a><b| = X_a @ X_b^H``.
+
+    Rows index the ``k`` kept sites; columns, numbered alike for every
+    state, the distinct complement rows of the joint support.
+    """
+    shape = states[0].shape
+    digits, amps = joint_amplitudes(states)
+    drop = [site for site in range(shape.n) if site not in keep]
+    columns, distinct = _group_rows(digits[:, drop], shape.d)
+    factors = np.zeros((len(states), shape.d ** len(keep), distinct.size), dtype=complex)
+    factors[:, digits[:, keep] @ _weights(shape.d, len(keep)), columns] = amps
+    return factors
 
 
-def cross_marginal(left: PureState, right: PureState, sites: Sequence[int]) -> np.ndarray:
+def cross_marginal(
+    left: PureState | Sequence[PureState],
+    right: PureState | Sequence[PureState],
+    sites: Sequence[int],
+) -> np.ndarray:
     """Subsystem block ``Tr_B |left><right|`` as a dense array.
 
     Entry ``(i_A, j_A)`` is ``sum_{i_B} left[i_A, i_B] * conj(right[j_A, i_B])``
     where ``A`` is ``sites`` (ascending) and ``B`` the complement.
-    ``partial_trace`` is the ``left is right`` case; the optimizer uses
-    the general form for basis cross terms.
+    ``partial_trace`` is the ``left is right`` case.
+
+    Both arguments may instead be sequences of states; the result then
+    stacks every block: ``cross_marginal(basis, basis, sites)[j, k]`` is
+    ``Tr_B |basis[j]><basis[k]|``.
     """
-    if left.shape != right.shape:
-        raise ValueError(f"shape mismatch: {left.shape} vs {right.shape}")
-    n, d = left.shape.n, left.shape.d
+    single = isinstance(left, PureState)
+    lefts, rights = ([left], [right]) if single else (list(left), list(right))
+    n = _common_shape(lefts + rights).n
     keep = sorted(int(s) for s in sites)
     if not keep:
         raise ValueError("subsystem must contain at least one site")
@@ -639,27 +695,11 @@ def cross_marginal(left: PureState, right: PureState, sites: Sequence[int]) -> n
         raise ValueError(f"duplicate sites in subsystem {tuple(sites)}")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"subsystem {tuple(sites)} out of range for n={n}")
-    drop = [s for s in range(n) if s not in set(keep)]
-
-    def grouped(state: PureState) -> dict[tuple[int, ...], list[tuple[int, complex]]]:
-        groups: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-        for index, value in state.amplitudes.items():
-            part_a, part_b = _site_split(index, keep, drop)
-            groups.setdefault(part_b, []).append((_encode(part_a, d), value))
-        return groups
-
-    dim = d ** len(keep)
-    block = np.zeros((dim, dim), dtype=complex)
-    left_groups = grouped(left)
-    right_groups = grouped(right) if right is not left else left_groups
-    for part_b, left_entries in left_groups.items():
-        right_entries = right_groups.get(part_b)
-        if not right_entries:
-            continue
-        for row, lval in left_entries:
-            for col, rval in right_entries:
-                block[row, col] += lval * rval.conjugate()
-    return block
+    factors = _marginal_factors(lefts if right is left else lefts + rights, keep)
+    x = factors[: len(lefts)]
+    y = factors if right is left else factors[len(lefts) :]
+    blocks = x[:, None] @ y.conj().transpose(0, 2, 1)[None]
+    return blocks[0, 0] if single else blocks
 
 
 def partial_trace(
@@ -701,8 +741,8 @@ def state_to_dict(state: PureState) -> dict:
         "n": state.shape.n,
         "d": state.shape.d,
         "amplitudes": [
-            {"index": list(index), "re": value.real, "im": value.imag}
-            for index, value in state.amplitudes.items()
+            {"index": index, "re": value.real, "im": value.imag}
+            for index, value in zip(state.digits.tolist(), state.values.tolist())
         ],
     }
 
@@ -716,15 +756,11 @@ def state_from_dict(obj: Mapping, *, canonicalize: bool = False) -> PureState:
     try:
         shape = SystemShape(int(obj["n"]), int(obj["d"]))
         entries = obj["amplitudes"]
-        amps: dict[tuple[int, ...], complex] = {}
-        for entry in entries:
-            index = tuple(int(i) for i in entry["index"])
-            amps[index] = complex(float(entry["re"]), float(entry["im"]))
+        digits = _index_matrix(shape, [[int(i) for i in entry["index"]] for entry in entries])
+        values = np.array([complex(float(e["re"]), float(e["im"])) for e in entries], dtype=complex)
+        return PureState._from_arrays(shape, digits, values, canonicalize=canonicalize)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
-    if len(amps) != len(entries):
-        raise ValueError("malformed state document: duplicate multi-index")
-    return PureState(shape, amps, canonicalize=canonicalize)
 
 
 def save_state(state: PureState, path: str) -> None:

@@ -30,8 +30,9 @@ class UniformityReport:
 
     ``deviations`` lists ``(sites, squared Frobenius deviation)`` for
     every size-``k`` subsystem in lexicographic order; ``deficit`` is
-    their sum and ``worst_subsystem`` the first subsystem attaining the
-    largest deviation.
+    their sum and ``worst_subsystem`` the lexicographically first one
+    within ``tolerance`` of the largest deviation, so that exact ties (at
+    ``k = n/2`` each subsystem ties with its complement) survive roundoff.
     """
 
     k: int
@@ -66,7 +67,8 @@ def is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> Uniformi
         marginal = partial_trace(state, sites, tol)
         deviations.append((sites, marginal.uniform_deviation()))
     deficit = sum(dev for _, dev in deviations)
-    worst = max(deviations, key=lambda item: item[1])[0]
+    top = max(dev for _, dev in deviations)
+    worst = next(sites for sites, dev in deviations if dev >= top - tol)
     return UniformityReport(
         k=k,
         tolerance=tol,

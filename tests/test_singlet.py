@@ -259,6 +259,18 @@ class TestPhaseFunction:
         with pytest.raises(PhaseFunctionError):
             extract_phase_function(product)
 
+    def test_nine_bell_pairs_keep_det_power_principal(self):
+        """K = 9 copies: a fixed determinant angle of 0.35 would wrap 9*0.35 past pi."""
+        amps = {}
+        for flips in itertools.product([False, True], repeat=9):
+            index = sum(((1, 0) if flip else (0, 1) for flip in flips), ())
+            amps[index] = (-1) ** sum(flips) / 2**4.5
+        state = PureState(SystemShape(18, 2), amps)
+        assert state.has_uniform_support()
+        report = extract_phase_function(state, samples=4, seed=0)
+        assert report.permutation_phase == "signum"
+        assert report.det_power == 9
+
     def test_rejects_unnormalized(self, bell):
         with pytest.raises(ValueError):
             extract_phase_function(bell.scaled(0.5))

@@ -17,6 +17,7 @@ from singletlab import (
     cross_marginal,
     enumerate_support,
     haar_unitary,
+    joint_amplitudes,
     partial_trace,
     permutation_sign,
     permute_particles,
@@ -295,6 +296,18 @@ def test_superpose_matches_dense_combination():
     combo = superpose(coeffs, states, canonicalize=False)
     expected = sum(c * s.to_dense() for c, s in zip(coeffs, states))
     assert_allclose(combo.to_dense(), expected, atol=1e-13)
+
+
+def test_joint_amplitudes_align_supports():
+    shape = SystemShape(3, 2)
+    a = PureState(shape, {(1, 1, 0): 2.0, (0, 0, 1): 1.0}, canonicalize=False)
+    b = PureState(shape, {(1, 1, 0): 3.0j, (0, 1, 0): 4.0}, canonicalize=False)
+    digits, amps = joint_amplitudes([a, b])
+    assert digits.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 0]]
+    assert_allclose(amps, [[1.0, 0.0, 2.0], [0.0, 4.0, 3.0j]])
+    assert a.digits.tolist() == [[0, 0, 1], [1, 1, 0]]
+    with pytest.raises(ValueError):
+        a.values[0] = 5.0  # the stored arrays are read-only
 
 
 def test_superpose_rejects_mixed_shapes(bell, qutrit):

@@ -63,6 +63,15 @@ class TestIsKUniform:
         worst = max(lookup.values())
         assert lookup[report.worst_subsystem] == pytest.approx(worst)
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3)])
+    def test_half_size_worst_subsystem_contains_site_zero(self, n, d):
+        """At k = n/2 every subsystem ties with its complement, so roundoff
+        must not decide which of the two is reported."""
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            report = is_k_uniform(random_dense_state(SystemShape(n, d), rng), n // 2)
+            assert report.worst_subsystem[0] == 0
+
     def test_rejects_out_of_range_k(self, bell):
         with pytest.raises(ValueError):
             is_k_uniform(bell, 0)
