@@ -3,7 +3,8 @@
 Exit codes follow one convention across all subcommands: 0 when the
 command succeeds and any checked predicate holds, 1 when a predicate
 fails (a state is not invariant, not k-uniform, a lemma check fails, a
-certificate is violated), and 2 for usage, parse, or I/O errors.
+certificate is violated), and 2 for usage, parse, or I/O errors and for
+a shape whose basis cannot be built (rank check failed, out of memory).
 
 Every JSON artifact records the tolerance and seed that produced it.
 """
@@ -11,6 +12,7 @@ Every JSON artifact records the tolerance and seed that produced it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import permutations
 
@@ -25,6 +27,7 @@ from .nogo import (
 from .optimize import minimize_deficit, result_to_dict
 from .singlet import (
     PhaseFunctionError,
+    SubspaceRankError,
     basis_to_dict,
     check_sign_relation,
     expected_dimension,
@@ -239,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help=f"numerical tolerance (default {DEFAULT_TOL:g})",
+        help=f"numerical tolerance (default {DEFAULT_TOL:g}); for subspace, the "
+        "smallest accepted Gram-Schmidt pivot relative to its row norm",
     )
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--out", default=None, help="write a JSON artifact to this path")
@@ -316,12 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     try:
         return args.handler(args)
     except CertificateViolationError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, SubspaceRankError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

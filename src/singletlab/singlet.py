@@ -4,9 +4,11 @@ A pure state of ``n`` particles with ``d`` levels is a *singlet* when
 applying the same unitary to every site changes it by at most a global
 phase.  Equivalently, the state is annihilated by every collective
 traceless generator ``sum_a g^(a)``.  Such states only occupy
-multi-indices where every label appears exactly ``n // d`` times, so
-the kernel computation here restricts to that balanced support before
-solving a small linear system.
+multi-indices where every label appears exactly ``n // d`` times.  The
+subspace is spanned by products of ``d``-site determinant states, one
+per standard Young tableau of the ``d x n // d`` rectangle; the basis
+here is built from those integer vectors exactly, with no numerical
+kernel computation.
 
 The phase picked up under a one-site unitary ``U`` is measured, not
 assumed: label permutations are applied exactly and must return the
@@ -19,6 +21,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import resource
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -31,6 +35,7 @@ from .states import (
     PureState,
     SupportProfile,
     SystemShape,
+    _weights,
     apply_local,
     enumerate_support,
     joint_amplitudes,
@@ -177,72 +182,25 @@ class SingletBasis:
         return [self.random_state(rng) for _ in range(count)]
 
 
-def _reduced_echelon(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Row-reduce to echelon form with unit leading entries, tolerance pivoting."""
-    mat = np.array(rows, dtype=complex)
-    pivot_tol = max(tol, 1e-12)
-    rank = 0
-    for col in range(mat.shape[1]):
-        if rank == mat.shape[0]:
-            break
-        block = np.abs(mat[rank:, col])
-        lead = int(np.argmax(block))
-        if block[lead] <= pivot_tol:
-            continue
-        if lead:
-            mat[[rank, rank + lead]] = mat[[rank + lead, rank]]
-        mat[rank] = mat[rank] / mat[rank, col]
-        for other in range(mat.shape[0]):
-            if other != rank and mat[other, col] != 0.0:
-                mat[other] = mat[other] - mat[other, col] * mat[rank]
-        rank += 1
-    return mat[:rank]
+def _check_memory(shape: SystemShape, dimension: int) -> None:
+    """Raise :class:`MemoryError` before building a basis that cannot fit.
 
-
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Sequential (modified, twice through) Gram-Schmidt over the given rows."""
-    out: list[np.ndarray] = []
-    for row in rows:
-        vec = row.astype(complex)
-        for _ in range(2):
-            for prev in out:
-                vec = vec - (prev.conj() @ vec) * prev
-        nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0:
-            raise SubspaceRankError("dependent vectors survived row reduction")
-        out.append(vec / nrm)
-    return np.array(out) if out else rows
-
-
-def _constraint_rows(
-    shape: SystemShape, support: list[tuple[int, ...]]
-) -> np.ndarray:
-    """Stacked matrices of all collective generators on the balanced support.
-
-    Row ``r`` of the result is one image multi-index of one generator;
-    column ``c`` corresponds to ``support[c]``.  A state is collectively
-    invariant exactly when its coefficient vector over ``support``
-    annihilates every row.
+    Counts the support list (a tuple and a list slot per multi-index,
+    plus its int64 array), three dense ``dimension x support`` float
+    arrays and the member states (a complex amplitude and ``n`` one-byte
+    digits per entry), against the soft address-space limit when one is
+    set and physical memory otherwise.
     """
-    rows: list[np.ndarray] = []
-    m = len(support)
-    for gen in standard_traceless_generators(shape.d):
-        images: dict[tuple[int, ...], dict[int, complex]] = {}
-        for col, index in enumerate(support):
-            for site, entry in enumerate(index):
-                column = gen[:, entry]
-                for target in np.flatnonzero(column):
-                    image = index[:site] + (int(target),) + index[site + 1 :]
-                    bucket = images.setdefault(image, {})
-                    bucket[col] = bucket.get(col, 0.0 + 0.0j) + complex(column[target])
-        for image in sorted(images):
-            row = np.zeros(m, dtype=complex)
-            for col, value in images[image].items():
-                row[col] = value
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, m), dtype=complex)
-    return np.array(rows)
+    support = SupportProfile.uniform(shape).size()
+    need = support * (48 + 16 * shape.n) + dimension * support * (3 * 8 + 16 + shape.n)
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise MemoryError(
+            f"the basis at shape {shape} (support {support}, dimension {dimension}) "
+            f"needs about {need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
+        )
 
 
 _PRUNE_REL = 1e-14
@@ -251,54 +209,76 @@ _PRUNE_REL = 1e-14
 def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> SingletBasis:
     """Orthonormal basis of the collectively invariant subspace.
 
-    Enumerates the balanced-occupation support, stacks the collective
-    actions of the standard traceless generators, and takes the joint
-    kernel by SVD (singular values below ``tol`` times the largest are
-    treated as zero).  The kernel is then brought to a deterministic
-    form: row reduction orders vectors by their leading support index,
-    sequential orthogonalization restores orthonormality, and each
-    member is phase-canonicalized.
+    Each standard tableau of the ``d x n // d`` rectangle gives one
+    invariant: the product, over the tableau's columns, of the ``d``-site
+    determinant state on that column's sites.  Its lexicographically
+    first multi-index is the tableau's row word, with amplitude 1, and
+    the words are distinct, so the products are in echelon form with
+    unit leading entries.  Integer back-substitution brings them to the
+    reduced row echelon form, Gram-Schmidt in that order (one QR)
+    restores orthonormality, and each member is phase-canonicalized.
 
-    Returns an empty basis when ``d`` does not divide ``n``.  Raises
-    :class:`SubspaceRankError` if the numerical kernel dimension
-    disagrees with :func:`expected_dimension`.
+    ``tol`` is the smallest accepted Gram-Schmidt pivot relative to the
+    norm of its echelon row.  Returns an empty basis when ``d`` does not
+    divide ``n``.  Raises :class:`SubspaceRankError` when a pivot falls
+    below ``tol`` or the tableau count disagrees with
+    :func:`expected_dimension`, and :class:`MemoryError`, before any
+    work, when the basis would not fit in memory.
     """
     expected = expected_dimension(shape)
     if not shape.divisible:
         return SingletBasis(shape=shape, tolerance=tol, states=())
-    support = enumerate_support(shape, SupportProfile.uniform(shape))
-    m = len(support)
-    constraints = _constraint_rows(shape, support)
-    if constraints.shape[0] == 0:
-        null_rows = np.eye(m, dtype=complex)
-    else:
-        _, singular, vh = np.linalg.svd(constraints)
-        top = singular[0] if singular.size else 0.0
-        rank = int(np.sum(singular > tol * top)) if top > 0.0 else 0
-        null_rows = vh[rank:].conj()
-    canonical = _reduced_echelon(null_rows, tol)
-    if canonical.shape[0] != null_rows.shape[0]:
+    _check_memory(shape, expected)
+    support = np.array(enumerate_support(shape, SupportProfile.uniform(shape)))
+    # Standard tableaux as row words (word[s] is the row holding site s):
+    # the balanced words in which no prefix holds a row more often than
+    # the row above it.
+    standard = np.ones(len(support), dtype=bool)
+    for row in range(1, shape.d):
+        above = np.cumsum(support == row - 1, axis=1)
+        standard &= np.all(np.cumsum(support == row, axis=1) <= above, axis=1)
+    pivots = np.flatnonzero(standard)
+    words = support[pivots]
+    if len(words) != expected:
         raise SubspaceRankError(
-            f"row reduction lost rank: kernel {null_rows.shape[0]}, "
-            f"reduced {canonical.shape[0]} at shape {shape}"
-        )
-    if canonical.shape[0] != expected:
-        raise SubspaceRankError(
-            f"kernel dimension {canonical.shape[0]} disagrees with the "
+            f"{len(words)} standard tableaux disagree with the "
             f"combinatorial count {expected} at shape {shape}"
         )
-    ortho = _orthonormalize(canonical)
+    d, dim = shape.d, len(words)
+    # Multi-indices are compared by their base-d codes; the support is sorted.
+    weights = _weights(d, shape.n)
+    codes = support @ weights
+    # columns[t, c, r]: the site in row r, column c of tableau t
+    columns = np.stack(
+        [np.nonzero(words == row)[1].reshape(dim, shape.copies) for row in range(d)], axis=-1
+    )
+    perms = np.array(list(all_label_permutations(d)))
+    perm_signs = np.array([permutation_sign(p) for p in perms], dtype=float)
+    # column_codes[t, c, p]: code share of labels perms[p] on column c of tableau t
+    column_codes = weights[columns] @ perms.T
+    terms = np.zeros((dim, 1), dtype=np.int64)
+    signs = np.ones(1)
+    for col in range(shape.copies):
+        terms = (terms[:, :, None] + column_codes[:, None, col, :]).reshape(dim, -1)
+        signs = np.outer(signs, perm_signs).ravel()
+    echelon = np.zeros((dim, len(support)))
+    echelon[np.arange(dim)[:, None], np.searchsorted(codes, terms)] = signs
+    # Amplitude of word t in product r: unit upper triangular.
+    triangle = echelon[:, pivots]
+    for row in range(dim - 2, -1, -1):
+        echelon[row] -= triangle[row, row + 1 :] @ echelon[row + 1 :]
+    ortho, upper = np.linalg.qr(echelon.T)
+    ratios = np.abs(np.diagonal(upper)) / np.linalg.norm(echelon, axis=1)
+    if ratios.min() < tol:
+        raise SubspaceRankError(
+            f"Gram-Schmidt pivot ratio {ratios.min():.3g} is below tol {tol:g} at shape {shape}"
+        )
     states = []
-    for vec in ortho:
-        cutoff = _PRUNE_REL * float(np.abs(vec).max()) if vec.size else 0.0
-        kept = {
-            support[i]: complex(vec[i])
-            for i in range(m)
-            if abs(vec[i]) > cutoff
-        }
-        nrm = math.sqrt(sum(abs(v) ** 2 for v in kept.values()))
+    for vec in ortho.T:
+        kept = np.abs(vec) > _PRUNE_REL * np.abs(vec).max()
+        values = vec[kept] / np.linalg.norm(vec[kept])
         states.append(
-            PureState(shape, {k: v / nrm for k, v in kept.items()}, canonicalize=True)
+            PureState._from_arrays(shape, support[kept], values.astype(complex), canonicalize=True)
         )
     return SingletBasis(shape=shape, tolerance=tol, states=tuple(states))
 

@@ -2,6 +2,9 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,7 @@ from singletlab import (
     save_basis,
     save_state,
 )
-from singletlab import fixtures
+from singletlab import cli, fixtures
 from singletlab.cli import main
 
 from conftest import DATA_DIR
@@ -174,3 +177,34 @@ class TestErrorHandling:
     def test_unwritable_output(self):
         code = main(["certify", "--n", "4", "--d", "2", "--out", "/nonexistent-dir/x.json"])
         assert code == 2
+
+    def test_rank_guard_exits_2(self, capsys):
+        assert main(["subspace", "--n", "2", "--d", "2", "--tol", "1e30"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["subspace", "--n", "2", "--d", "2", "--tol", tol])
+        assert info.value.code == 2
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhausted(shape, tol):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(cli, "build_singlet_basis", exhausted)
+        assert main(["subspace", "--n", "4", "--d", "2"]) == 2
+        assert capsys.readouterr().err == "error: no room\n"
+
+    def test_oversized_shape_exits_2_under_address_space_cap(self):
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "singletlab.cli", "subspace", "--n", "40", "--d", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "1 GiB" in proc.stderr

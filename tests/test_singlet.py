@@ -6,6 +6,8 @@ dense full-Hilbert-space null-space computation for the subspace itself.
 """
 
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from singletlab import (
     expected_dimension,
     extract_phase_function,
     haar_unitary,
+    load_basis,
     verify_invariance,
 )
 from singletlab.singlet import all_label_permutations, standard_traceless_generators
 from singletlab import LocalOperator
 
-from conftest import kron_chain, random_dense_state
+from conftest import DATA_DIR, kron_chain, random_dense_state
 
 
 # --------------------------------------------------------------------------- #
@@ -176,6 +179,22 @@ class TestBuildBasis:
         with pytest.raises(SubspaceRankError):
             build_singlet_basis(SystemShape(2, 2), tol=1e30)
 
+    @pytest.mark.parametrize("n,d", [(8, 2), (6, 3)])
+    def test_matches_pinned_basis(self, n, d, basis_cache):
+        """The files were written by an SVD null-space construction of the same basis."""
+        pinned = load_basis(os.path.join(DATA_DIR, f"basis_{n}_{d}.json"))
+        basis = basis_cache(n, d)
+        assert basis.dimension == pinned.dimension
+        for member, reference in zip(basis, pinned):
+            assert member.support() == reference.support()
+            assert_allclose(member.values, reference.values, rtol=0, atol=1e-12)
+
+    def test_oversized_shape_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match="support 137846528820"):
+            build_singlet_basis(SystemShape(40, 2))
+        assert time.perf_counter() - start < 1.0
+
     def test_sample_and_combine(self, basis_cache):
         basis = basis_cache(6, 2)
         states = basis.sample(5, seed=3)
@@ -187,6 +206,20 @@ class TestBuildBasis:
             coeffs = [m.overlap(state) for m in basis]
             rebuilt = basis.combine(coeffs)
             assert rebuilt.distance(state) < 1e-12
+
+
+@pytest.mark.parametrize("n,d,dimension", [(9, 3, 42), (8, 4, 14)])
+def test_large_qutrit_and_ququart_shapes(n, d, dimension, basis_cache):
+    """The ROADMAP ladder's two largest shapes with d >= 3."""
+    shape = SystemShape(n, d)
+    basis = basis_cache(n, d)
+    assert basis.dimension == expected_dimension(shape) == dimension
+    assert_allclose(basis.gram(), np.eye(dimension), atol=1e-12)
+    tag = "signum" if (n // d) % 2 else "trivial"
+    for member in basis:
+        assert verify_invariance(member, samples=5, seed=3) < 1e-10
+        for perm in all_label_permutations(d):
+            assert check_sign_relation(member, perm, tag)
 
 
 # --------------------------------------------------------------------------- #
