@@ -1,65 +1,54 @@
-"""Deterministic JSON writing with fixed-precision floats.
+"""The JSON artifact format: one writer and one reader.
 
-The stock ``json`` module renders floats with ``repr``, which is
-round-trip exact but not pinned to a fixed digit count.  Every artifact
-this package writes goes through :func:`dumps` instead, which renders
-floats with 17 significant digits so that files are byte-identical
-across runs and still parse back to the exact same double.
+Every artifact this package writes goes through :func:`dump` and every
+file it reads back goes through :func:`load`.  Output is the stdlib
+encoder's compact form, with floats written as their shortest
+round-trip ``repr``: a pure function of the double that parses back to
+the same bits, so identical inputs give byte-identical files.  NaN and
+infinities are rejected, and so are non-string object keys, which the
+stdlib encoder would otherwise coerce to strings.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
-__all__ = ["dumps", "dump"]
+__all__ = ["dumps", "dump", "load"]
+
+_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
-def _render(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj!r}")
-        text = format(obj, ".17g")
-        if not any(ch in text for ch in ".eE"):
-            # keep integral floats (including -0.0) parsing back as floats
-            text += ".0"
-        return text
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render(x, indent, level + 1) for x in obj]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+def _check_keys(obj: Any) -> None:
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(inner + json.dumps(key) + ": " + _render(value, indent, level + 1))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return
+    # Scalars hold no keys: skipping them by exact type saves a call per list entry.
+    for item in obj:
+        if type(item) not in _LEAVES:
+            _check_keys(item)
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize ``obj`` to a deterministic JSON string."""
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj: Any) -> str:
+    """Serialize ``obj`` to a deterministic, newline-terminated JSON string."""
+    _check_keys(obj)
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
-def dump(obj: Any, path: str, indent: int = 2) -> None:
+def dump(obj: Any, path: str) -> None:
     """Write ``obj`` as JSON to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj, indent=indent))
+        handle.write(dumps(obj))
+
+
+def load(path: str) -> dict:
+    """Parse the JSON object stored at ``path``; any other top level is a ``ValueError``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ValueError("malformed document: expected a JSON object")
+    return document

@@ -28,6 +28,7 @@ from .optimize import minimize_deficit, result_to_dict
 from .singlet import (
     PhaseFunctionError,
     SubspaceRankError,
+    basis_from_dict,
     basis_to_dict,
     check_sign_relation,
     expected_dimension,
@@ -36,7 +37,7 @@ from .singlet import (
     build_singlet_basis,
     verify_invariance,
 )
-from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state
+from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state, state_from_dict
 from .uniformity import is_k_uniform, report_to_dict
 
 __all__ = ["main"]
@@ -99,16 +100,9 @@ def cmd_uniformity(args: argparse.Namespace) -> int:
 
 def _load_members(path: str):
     """Accept either a basis document or a single state document."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ValueError("malformed document: expected a JSON object")
+    document = _json.load(path)
     if "states" in document:
-        return list(load_basis(path).states)
-    from .states import state_from_dict
-
+        return list(basis_from_dict(document).states)
     return [state_from_dict(document)]
 
 

@@ -19,7 +19,6 @@ integer powers of ``det(U)``.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
 import resource
@@ -29,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _json
 from .states import (
     DEFAULT_TOL,
     LocalOperator,
@@ -444,7 +444,7 @@ def basis_to_dict(basis: SingletBasis, seed: int = 0, phase_samples: int = 8) ->
     phase = None
     if basis.dimension:
         phase = extract_phase_function(
-            basis.states[0], samples=phase_samples, seed=seed, tol=basis.tolerance
+            basis.states[0], samples=phase_samples, seed=seed
         ).permutation_phase
     return {
         "n": shape.n,
@@ -477,14 +477,8 @@ def basis_from_dict(obj: dict) -> SingletBasis:
 
 
 def save_basis(basis: SingletBasis, path: str, seed: int = 0) -> None:
-    from . import _json
-
     _json.dump(basis_to_dict(basis, seed=seed), path)
 
 
 def load_basis(path: str) -> SingletBasis:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ValueError("malformed basis document: expected a JSON object")
-    return basis_from_dict(document)
+    return basis_from_dict(_json.load(path))

@@ -28,13 +28,14 @@ ordering used for serialization and for canonical phase choices.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+
+from . import _json
 
 __all__ = [
     "DEFAULT_TOL",
@@ -351,9 +352,6 @@ class PureState:
             raise ValueError("cannot normalize the zero state")
         return PureState._from_arrays(self._shape, self._digits, self._values / nrm)
 
-    def canonicalized(self) -> "PureState":
-        return PureState._from_arrays(self._shape, self._digits, self._values, canonicalize=True)
-
     def scaled(self, factor: complex) -> "PureState":
         """Multiply every amplitude by ``factor`` (no phase canonicalization)."""
         return PureState._from_arrays(self._shape, self._digits, self._values * complex(factor))
@@ -397,19 +395,13 @@ class PureState:
         return vec
 
     @classmethod
-    def from_dense(
-        cls,
-        shape: SystemShape,
-        vector: np.ndarray,
-        *,
-        canonicalize: bool = False,
-    ) -> "PureState":
+    def from_dense(cls, shape: SystemShape, vector: np.ndarray) -> "PureState":
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         if vec.size != shape.total_dimension:
             raise ValueError(f"vector has {vec.size} entries, expected {shape.total_dimension}")
         flat = np.flatnonzero(vec)
         digits = np.stack(np.unravel_index(flat, (shape.d,) * shape.n), axis=1)
-        return cls._from_arrays(shape, digits, vec[flat], canonicalize=canonicalize)
+        return cls._from_arrays(shape, digits, vec[flat])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PureState):
@@ -747,31 +739,25 @@ def state_to_dict(state: PureState) -> dict:
     }
 
 
-def state_from_dict(obj: Mapping, *, canonicalize: bool = False) -> PureState:
+def state_from_dict(obj: Mapping) -> PureState:
     """Parse the JSON-dict form back into a PureState.
 
-    Stored amplitudes are taken verbatim by default so that files
-    round-trip exactly.
+    Stored amplitudes are taken verbatim, with no phase
+    canonicalization, so that files round-trip exactly.
     """
     try:
         shape = SystemShape(int(obj["n"]), int(obj["d"]))
         entries = obj["amplitudes"]
         digits = _index_matrix(shape, [[int(i) for i in entry["index"]] for entry in entries])
         values = np.array([complex(float(e["re"]), float(e["im"])) for e in entries], dtype=complex)
-        return PureState._from_arrays(shape, digits, values, canonicalize=canonicalize)
+        return PureState._from_arrays(shape, digits, values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
 
 
 def save_state(state: PureState, path: str) -> None:
-    from . import _json
-
     _json.dump(state_to_dict(state), path)
 
 
 def load_state(path: str) -> PureState:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ValueError("malformed state document: expected a JSON object")
-    return state_from_dict(document)
+    return state_from_dict(_json.load(path))

@@ -15,7 +15,7 @@ from singletlab import (
     save_basis,
     save_state,
 )
-from singletlab import cli, fixtures
+from singletlab import _json, cli, fixtures
 from singletlab.cli import main
 
 from conftest import DATA_DIR
@@ -56,6 +56,11 @@ class TestSubspace:
     def test_non_divisible_shape_reports_zero(self, capsys):
         assert main(["subspace", "--n", "3", "--d", "2"]) == 0
         assert "dimension: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, d, phase", [(6, 3, "trivial"), (9, 3, "signum")])
+    def test_zero_tolerance_measures_the_phase(self, capsys, n, d, phase):
+        assert main(["subspace", "--n", str(n), "--d", str(d), "--tol", "0"]) == 0
+        assert f"permutation_phase: {phase}" in capsys.readouterr().out
 
     def test_artifact_is_reproducible(self, tmp_path):
         a = str(tmp_path / "a.json")
@@ -100,6 +105,18 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--basis", basis42_file]) == 0
         out = capsys.readouterr().out
         assert "all lemma checks: pass" in out
+
+    def test_basis_file_is_parsed_once(self, basis42_file, monkeypatch):
+        load = _json.load
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(_json, "load", counting_load)
+        assert main(["verify-lemmas", "--basis", basis42_file]) == 0
+        assert calls == [basis42_file]
 
     def test_single_state_file_accepted(self, bell_file):
         assert main(["verify-lemmas", "--basis", bell_file]) == 0

@@ -11,6 +11,7 @@ from singletlab import (
     SystemShape,
     basis_from_dict,
     basis_to_dict,
+    build_singlet_basis,
     load_basis,
     load_state,
     save_basis,
@@ -20,7 +21,7 @@ from singletlab import (
 )
 from singletlab import _json
 
-from conftest import random_dense_state
+from conftest import DATA_DIR, random_dense_state
 
 
 class TestJsonWriter:
@@ -45,6 +46,15 @@ class TestJsonWriter:
     def test_rejects_non_string_keys(self):
         with pytest.raises(TypeError):
             _json.dumps({3: "x"})
+
+    def test_rejects_non_string_keys_nested_in_lists(self):
+        with pytest.raises(TypeError):
+            _json.dumps({"a": [{"b": {1: 2}}]})
+
+    def test_compact_layout_with_shortest_round_trip_floats(self):
+        payload = {"x": [1, 2.0, -0.0, 1e16, None, True, "s"], "y": {}}
+        expected = '{"x": [1, 2.0, -0.0, 1e+16, null, true, "s"], "y": {}}\n'
+        assert _json.dumps(payload) == expected
 
     def test_output_is_stable_and_newline_terminated(self):
         payload = {"b": [1, 2], "a": {"nested": True, "other": None}}
@@ -128,3 +138,17 @@ class TestBasisFiles:
         back = basis_from_dict(basis_to_dict(basis))
         assert back.dimension == 1
         assert back.states[0].distance(basis.states[0]) < 1e-15
+
+    @pytest.mark.parametrize("name", ["basis_8_2.json", "basis_6_3.json"])
+    def test_pinned_files_survive_rewrite_bit_exactly(self, tmp_path, name):
+        pinned = load_basis(os.path.join(DATA_DIR, name))
+        path = os.path.join(tmp_path, name)
+        save_basis(pinned, path)
+        back = load_basis(path)
+        assert back.dimension == pinned.dimension
+        for original, loaded in zip(pinned, back):
+            assert loaded == original
+
+    def test_phase_metadata_of_a_zero_tolerance_basis(self):
+        basis = build_singlet_basis(SystemShape(6, 3), tol=0.0)
+        assert basis_to_dict(basis)["permutation_phase"] == "trivial"
