@@ -35,6 +35,7 @@ from .singlet import (
     extract_phase_function,
     load_basis,
     build_singlet_basis,
+    check_memory,
     verify_invariance,
 )
 from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state, state_from_dict
@@ -50,6 +51,9 @@ def _write(document: dict, path: str | None) -> None:
 
 def cmd_subspace(args: argparse.Namespace) -> int:
     shape = SystemShape(args.n, args.d)
+    # The artifact holds every amplitude as a dict, which takes far more
+    # room than the basis itself, so it is counted before the build.
+    check_memory(shape, document=True)
     basis = build_singlet_basis(shape, args.tol)
     print(f"n: {shape.n}")
     print(f"d: {shape.d}")
@@ -322,7 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError, SubspaceRankError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A failed allocation can raise a MemoryError with no text.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

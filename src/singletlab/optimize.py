@@ -1,13 +1,15 @@
 """Minimize the pair deficit over a fixed invariant subspace.
 
-The pair deficit of ``psi(c) = sum_j c_j b_j`` is a quartic form in the
-coefficients: every two-site marginal is ``sum_{j,k} c_j conj(c_k)``
-times a precomputed cross-marginal block, so both the objective and its
-gradient come out of a handful of small matrix contractions.  The
-search runs projected gradient descent on the unit coefficient sphere
-with Armijo backtracking and seeded random restarts.  Its purpose is to
-exhibit, not assume, that the best reachable deficit stays above the
-certificate floor.
+Every two-site marginal of an invariant state commutes with ``U (x) U``,
+so it is a Werner state, fixed by its trace and its swap expectation.
+The pair deficit of ``psi(c) = sum_j c_j b_j`` is therefore a quadratic
+in the swap expectations ``s_ab = c^H S_ab c``, with one precomputed
+``r x r`` swap matrix per site pair, and both the objective and its
+gradient come out of one matrix-vector product.  The search runs
+projected gradient descent on the unit coefficient sphere, with Armijo
+backtracking from Barzilai-Borwein steps and seeded random restarts.
+Its purpose is to exhibit, not assume, that the best reachable deficit
+stays above the certificate floor.
 """
 
 from __future__ import annotations
@@ -30,31 +32,38 @@ __all__ = [
     "result_to_dict",
 ]
 
-# Armijo backtracking parameters: initial step, sufficient-decrease
-# constant, contraction factor, smallest step before giving up.
+# Armijo backtracking parameters: step used when no Barzilai-Borwein
+# step is available, sufficient-decrease constant, contraction factor,
+# smallest step before giving up.
 _STEP0 = 1.0
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 _MIN_STEP = 1e-14
+# Range a Barzilai-Borwein step is clamped to.
+_BB_MIN = 1e-10
+_BB_MAX = 1e10
 
 #: Convergence threshold on the tangential gradient norm.
 DEFAULT_GTOL = 1e-8
 
 
 class PairDeficitObjective:
-    """Pair deficit as an explicit quartic form over basis coefficients.
+    """Pair deficit as a quadratic in the two-site swap expectations.
 
-    For each site pair ``A`` the blocks ``T_A[j, k] = Tr_B |b_j><b_k|``
-    give ``tau_A(c) = sum_{jk} c_j conj(c_k) T_A[j, k]``, so the deficit
-    ``sum_A ||tau_A(c) - I/d**2||_F**2`` expands into a quartic plus a
-    quadratic term.  Both are contracted down once at construction
-    (``M[jk, ml] = sum_A Tr(T_A[j,k] T_A[m,l])`` and the block traces):
-    one :func:`cross_marginal` call per pair gives every ``T_A[j, k]``,
-    and one matrix product over all pairs gives ``M``.  After that every
-    evaluation is a dense matrix-vector product in ``r**2`` dimensions:
+    For each site pair ``A`` one :func:`cross_marginal` call gives the
+    blocks ``T_A[j, k] = Tr_B |b_j><b_k|``, and their contraction
+    with the two-site swap ``F`` gives the ``r x r`` Hermitian matrix
+    ``S_A[k, j] = Tr(F T_A[j, k])``; the ``P`` matrices are stacked into
+    one ``(P r) x r`` array.  The marginal ``tau_A(c)`` of an invariant
+    state is the Werner state with trace ``t = c^H c`` and swap
+    expectation ``s_A = c^H S_A c``, so with ``dim = d**2`` and
+    ``kappa = 1 / (d (d**2 - 1))``:
 
-        D(c) = w^T M w - (2/dim) Re(L . w) + P/dim,
-        w = outer(c, conj(c)) flattened, P site pairs, dim = d**2.
+        D(c) = kappa (d sum_A s_A**2 - 2 t sum_A s_A + P d t**2) - P (2 t - 1) / dim.
+
+    This is ``sum_A ||tau_A(c) - I/dim||_F**2`` at every ``c``, on the
+    unit sphere or off it, for an orthonormal invariant basis.  Memory
+    is ``P r**2`` complex entries.
     """
 
     def __init__(self, basis: SingletBasis) -> None:
@@ -64,31 +73,35 @@ class PairDeficitObjective:
         shape = basis.shape
         if shape.n < 2:
             raise ValueError(f"pair deficit needs n >= 2, got n={shape.n}")
-        r = basis.dimension
-        dim = shape.d**2
-        self._dim = dim
+        r, d = basis.dimension, shape.d
+        pairs = list(combinations(range(shape.n), 2))
         states = basis.states
-        # blocks[A, j, k] = T_A[j, k]
-        blocks = np.stack(
-            [cross_marginal(states, states, sites) for sites in combinations(range(shape.n), 2)]
-        )
-        rows = blocks.transpose(1, 2, 0, 3, 4).reshape(r * r, -1)
-        columns = blocks.transpose(1, 2, 0, 4, 3).reshape(r * r, -1)
-        self._quartic = rows @ columns.T
-        self._linear = np.trace(blocks, axis1=3, axis2=4).sum(axis=0).reshape(r * r)
-        self._offset = blocks.shape[0] / dim
+        swaps = np.empty((len(pairs), r, r), dtype=complex)
+        for swap, sites in zip(swaps, pairs):
+            blocks = cross_marginal(states, states, sites).reshape(r, r, d, d, d, d)
+            # Tr(F T) = sum_{ab} T[(b, a), (a, b)]
+            swap[...] = np.einsum("jkbaab->kj", blocks)
+        self._swaps = swaps.reshape(len(pairs) * r, r)
+        self._pairs = len(pairs)
+        self._d = d
+        self._kappa = 1.0 / (d * (d * d - 1))
 
     @property
     def dimension(self) -> int:
         return self.basis.dimension
 
+    def _evaluate(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """Value, the products ``S_A c`` (one row per pair), ``s_A`` and ``t``."""
+        products = (self._swaps @ c).reshape(self._pairs, c.size)
+        s = (products @ c.conj()).real
+        t = float(np.vdot(c, c).real)
+        d, pairs = self._d, self._pairs
+        value = self._kappa * (d * (s @ s) - 2.0 * t * s.sum() + pairs * d * t * t)
+        return float(value - pairs * (2.0 * t - 1.0) / d**2), products, s, t
+
     def value(self, coeffs: Sequence[complex]) -> float:
         """Pair deficit of the combination with the given coefficients."""
-        c = np.asarray(coeffs, dtype=complex)
-        w = np.outer(c, c.conj()).reshape(-1)
-        quartic = (w @ (self._quartic @ w)).real
-        cross = (self._linear @ w).real
-        return float(quartic - 2.0 / self._dim * cross + self._offset)
+        return self._evaluate(np.asarray(coeffs, dtype=complex))[0]
 
     def value_and_gradient(self, coeffs: Sequence[complex]) -> tuple[float, np.ndarray]:
         """Objective value and its conjugate (Wirtinger) gradient.
@@ -98,19 +111,13 @@ class PairDeficitObjective:
         ``(2 Re G, 2 Im G)``.
         """
         c = np.asarray(coeffs, dtype=complex)
-        r = c.size
-        w = np.outer(c, c.conj()).reshape(-1)
-        fw = self._quartic @ w
-        # Same contraction order as ``value`` so the two paths agree
+        # ``value`` goes through the same contraction, so the two agree
         # bitwise; the line search compares one against the other.
-        quartic = (w @ fw).real
-        folded = fw.reshape(r, r)
-        cross = (self._linear @ w).real
-        value = float(quartic - 2.0 / self._dim * cross + self._offset)
-        # The quartic tensor is symmetric under (jk)<->(ml), so the
-        # Wirtinger derivative folds into a single contraction.
-        grad = 2.0 * (c @ folded) - 2.0 / self._dim * (c @ self._linear.reshape(r, r))
-        return value, grad
+        value, products, s, t = self._evaluate(c)
+        d, pairs, kappa = self._d, self._pairs, self._kappa
+        weights = 2.0 * kappa * (d * s - t)
+        scale = 2.0 * kappa * (d * t * pairs - s.sum()) - 2.0 * pairs / d**2
+        return value, weights @ products + scale * c
 
 
 def _embed(c: np.ndarray) -> np.ndarray:
@@ -122,18 +129,38 @@ def _complexify(x: np.ndarray) -> np.ndarray:
     return x[:half] + 1j * x[half:]
 
 
+def _bb_step(move: np.ndarray, change: np.ndarray, long: bool) -> float:
+    """Barzilai-Borwein step from the last move and its gradient change.
+
+    ``long`` picks the first (``|s|^2 / s.y``) form, otherwise the second
+    (``s.y / |y|^2``); without positive curvature along the move the
+    default step is used.
+    """
+    curvature = float(move @ change)
+    if curvature <= 0.0:
+        return _STEP0
+    step = float(move @ move) / curvature if long else curvature / float(change @ change)
+    return min(max(step, _BB_MIN), _BB_MAX)
+
+
 def _descend(
     objective: PairDeficitObjective,
     start: np.ndarray,
     max_iters: int,
     gtol: float,
 ) -> tuple[np.ndarray, list[float], bool, int]:
-    """Projected gradient descent on the unit sphere from one start point."""
+    """Projected gradient descent on the unit sphere from one start point.
+
+    Each monotone Armijo backtrack starts from a Barzilai-Borwein step,
+    the two forms in turn, taken from the last accepted move and the
+    change in the tangent gradient it caused.
+    """
     x = start / np.linalg.norm(start)
     value, wirtinger = objective.value_and_gradient(_complexify(x))
     trajectory = [value]
     converged = False
     iterations = 0
+    previous: tuple[np.ndarray, np.ndarray] | None = None
     for _ in range(max_iters):
         gradient = np.concatenate([2.0 * wirtinger.real, 2.0 * wirtinger.imag])
         tangent = gradient - (gradient @ x) * x
@@ -141,7 +168,10 @@ def _descend(
         if gnorm <= gtol:
             converged = True
             break
-        step = _STEP0
+        if previous is None:
+            step = _STEP0
+        else:
+            step = _bb_step(x - previous[0], tangent - previous[1], iterations % 2 == 1)
         accepted = False
         while step >= _MIN_STEP:
             # Near the valley floor the Armijo margin can underflow
@@ -168,6 +198,7 @@ def _descend(
             # moving on would let the loop spin at constant value.
             converged = gnorm <= max(gtol, 1e-6)
             break
+        previous = (x, tangent)
         x = candidate
         value = new_value
         wirtinger = new_wirtinger

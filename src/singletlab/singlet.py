@@ -53,6 +53,7 @@ __all__ = [
     "standard_traceless_generators",
     "expected_dimension",
     "haar_unitary",
+    "check_memory",
     "build_singlet_basis",
     "verify_invariance",
     "extract_phase_function",
@@ -182,24 +183,33 @@ class SingletBasis:
         return [self.random_state(rng) for _ in range(count)]
 
 
-def _check_memory(shape: SystemShape, dimension: int) -> None:
+def check_memory(shape: SystemShape, document: bool = False) -> None:
     """Raise :class:`MemoryError` before building a basis that cannot fit.
 
     Counts the support list (a tuple and a list slot per multi-index,
     plus its int64 array), three dense ``dimension x support`` float
     arrays and the member states (a complex amplitude and ``n`` one-byte
     digits per entry), against the soft address-space limit when one is
-    set and physical memory otherwise.
+    set and physical memory otherwise.  With ``document`` it also counts
+    the artifact of :func:`basis_to_dict` and its JSON text: a dict, an
+    ``n``-entry index list and two floats per amplitude, about
+    ``300 + 8 n`` bytes, and up to 200 bytes more while encoding.
+    Shapes ``d`` does not divide build nothing and always pass.
     """
+    if not shape.divisible:
+        return
+    dimension = expected_dimension(shape)
     support = SupportProfile.uniform(shape).size()
-    need = support * (48 + 16 * shape.n) + dimension * support * (3 * 8 + 16 + shape.n)
+    per_entry = 3 * 8 + 16 + shape.n + (500 + 8 * shape.n if document else 0)
+    need = support * (48 + 16 * shape.n) + dimension * support * per_entry
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
+        what = "the basis and its JSON document" if document else "the basis"
         raise MemoryError(
-            f"the basis at shape {shape} (support {support}, dimension {dimension}) "
-            f"needs about {need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
+            f"{what} at shape {shape} (support {support}, dimension {dimension}) would "
+            f"take about {need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
         )
 
 
@@ -228,7 +238,7 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
     expected = expected_dimension(shape)
     if not shape.divisible:
         return SingletBasis(shape=shape, tolerance=tol, states=())
-    _check_memory(shape, expected)
+    check_memory(shape)
     support = np.array(enumerate_support(shape, SupportProfile.uniform(shape)))
     # Standard tableaux as row words (word[s] is the row holding site s):
     # the balanced words in which no prefix holds a row more often than

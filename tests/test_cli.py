@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -213,6 +214,14 @@ class TestErrorHandling:
         assert main(["subspace", "--n", "4", "--d", "2"]) == 2
         assert capsys.readouterr().err == "error: no room\n"
 
+    def test_memory_error_without_text_is_named(self, monkeypatch, capsys):
+        def exhausted(shape, tol):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_singlet_basis", exhausted)
+        assert main(["subspace", "--n", "4", "--d", "2"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_oversized_shape_exits_2_under_address_space_cap(self):
         cap = 1 << 30
         proc = subprocess.run(
@@ -225,3 +234,21 @@ class TestErrorHandling:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "1 GiB" in proc.stderr
+
+    def test_artifact_too_large_exits_2_before_the_build(self):
+        # The (12,3) basis alone fits in 1 GiB; its 462 x 34650 amplitudes
+        # as artifact dicts do not, and that is known before the build.
+        cap = 1 << 30
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "singletlab.cli", "subspace", "--n", "12", "--d", "3"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "JSON document" in proc.stderr
+        assert "support 34650, dimension 462" in proc.stderr and "1 GiB" in proc.stderr
+        assert time.perf_counter() - start < 5.0

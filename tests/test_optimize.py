@@ -1,5 +1,9 @@
 """Tests for the pair-deficit objective and the sphere-constrained search."""
 
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +12,10 @@ from singletlab import (
     PairDeficitObjective,
     SystemShape,
     certify,
+    cross_marginal,
     gradient_check,
     minimize_deficit,
+    optimize,
     pair_deficit,
     result_to_dict,
 )
@@ -18,6 +24,29 @@ from singletlab import (
 def random_unit_coefficients(r, rng):
     c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     return c / np.linalg.norm(c)
+
+
+def quartic_reference(basis, c):
+    """Deficit and Wirtinger gradient straight from the cross-marginal blocks.
+
+    ``tau_A(c) = sum_jk c_j conj(c_k) T_A[j, k]`` for any ``c``, unit or
+    not, so ``D = sum_A ||tau_A - I/d**2||_F**2`` is quartic in ``c`` and
+    ``dD/d conj(c_k) = 2 sum_A sum_j c_j Tr((tau_A - I/d**2) T_A[j, k])``.
+    No Werner-state structure is assumed.
+    """
+    n, d = basis.shape.n, basis.shape.d
+    value, grad = 0.0, np.zeros(basis.dimension, dtype=complex)
+    for sites in combinations(range(n), 2):
+        blocks = cross_marginal(basis.states, basis.states, sites)
+        diff = np.einsum("j,k,jkab->ab", c, c.conj(), blocks) - np.eye(d * d) / d**2
+        value += float(np.sum(np.abs(diff) ** 2))
+        grad += 2.0 * np.einsum("j,ab,jkba->k", c, diff, blocks)
+    return value, grad
+
+
+def werner_jensen_bound(n, d):
+    """Least pair deficit allowed by the swap-sum identity and Jensen."""
+    return Fraction(n * (d * d - 1), 2 * d * d * (n - 1))
 
 
 class TestObjective:
@@ -51,6 +80,31 @@ class TestObjective:
             err = gradient_check(basis, coefficients=c, seed=int(rng.integers(1000)))
             assert err < 1e-6
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3)])
+    def test_swap_form_matches_quartic_reference_off_the_sphere(self, n, d, basis_cache):
+        basis = basis_cache(n, d)
+        objective = PairDeficitObjective(basis)
+        rng = np.random.default_rng(80 + n * d)
+        for scale in [0.3, 1.0, 1.7]:
+            c = scale * random_unit_coefficients(basis.dimension, rng)
+            value, grad = objective.value_and_gradient(c)
+            ref_value, ref_grad = quartic_reference(basis, c)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-13)
+            assert objective.value(c) == value
+            assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * max(1.0, ref_value))
+
+    def test_build_memory_is_pairs_times_rank_squared(self, basis_cache):
+        # 66 pairs x 132**2 complex swap entries are 18 MB; a quartic
+        # tensor over 132**2 coefficient pairs would be 4.5 GiB.
+        basis = basis_cache(12, 2)
+        tracemalloc.start()
+        try:
+            PairDeficitObjective(basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_gradient_check_trivial_for_rank_one(self, basis_cache):
         assert gradient_check(basis_cache(2, 2)) == 0.0
 
@@ -70,6 +124,36 @@ class TestMinimizeDeficit:
         result = minimize_deficit(basis_cache(n, d), restarts=8, seed=0)
         assert result.converged
         assert result.deficit == pytest.approx(self.FROZEN_MINIMA[(n, d)], abs=1e-8)
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (10, 2), (8, 4), (9, 3)])
+    def test_reaches_werner_jensen_bound(self, n, d, basis_cache):
+        result = minimize_deficit(basis_cache(n, d), restarts=8, seed=0)
+        assert result.converged
+        assert result.deficit == pytest.approx(float(werner_jensen_bound(n, d)), abs=1e-8)
+
+    def test_barzilai_borwein_descent_stays_under_the_cap(self, basis_cache, monkeypatch):
+        # Projected descent restarting each line search at step 1 made about
+        # 82 000 value calls here, with one restart at the iteration cap.
+        calls = {"value": 0}
+        iterations = []
+        value, descend = PairDeficitObjective.value, optimize._descend
+
+        def counted_value(self, coeffs):
+            calls["value"] += 1
+            return value(self, coeffs)
+
+        def recorded_descend(*args):
+            outcome = descend(*args)
+            iterations.append(outcome[3])
+            return outcome
+
+        monkeypatch.setattr(PairDeficitObjective, "value", counted_value)
+        monkeypatch.setattr(optimize, "_descend", recorded_descend)
+        max_iters = 10000
+        result = minimize_deficit(basis_cache(8, 2), restarts=16, max_iters=max_iters, seed=0)
+        assert len(iterations) == 16 and max(iterations) < max_iters
+        assert calls["value"] < 20000
+        assert result.converged
 
     def test_rank_one_subspace_needs_no_search(self, basis_cache, bell):
         result = minimize_deficit(basis_cache(2, 2), restarts=4, seed=0)
