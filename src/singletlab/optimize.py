@@ -4,7 +4,9 @@ Every two-site marginal of an invariant state commutes with ``U (x) U``,
 so it is a Werner state, fixed by its trace and its swap expectation.
 The pair deficit of ``psi(c) = sum_j c_j b_j`` is therefore a quadratic
 in the swap expectations ``s_ab = c^H S_ab c``, with one precomputed
-``r x r`` swap matrix per site pair, and both the objective and its
+``r x r`` swap matrix ``S_ab[k, j] = <b_k|P_ab|b_j>`` per site pair
+(the basis amplitudes against a copy with sites ``a`` and ``b``
+exchanged, so no marginal is formed), and both the objective and its
 gradient come out of one matrix-vector product.  The search runs
 projected gradient descent on the unit coefficient sphere, with Armijo
 backtracking from Barzilai-Borwein steps and seeded random restarts.
@@ -22,7 +24,11 @@ import numpy as np
 
 from .nogo import certify
 from .singlet import SingletBasis
-from .states import cross_marginal, state_to_dict
+from .states import DEFAULT_TOL, _weights, joint_amplitudes, state_to_dict
+# The objective calls no marginal routine; perfbench's tracer wraps
+# cross_marginal through this binding.
+from .states import cross_marginal  # noqa: F401
+from .uniformity import pair_deficit
 
 __all__ = [
     "PairDeficitObjective",
@@ -50,20 +56,21 @@ DEFAULT_GTOL = 1e-8
 class PairDeficitObjective:
     """Pair deficit as a quadratic in the two-site swap expectations.
 
-    For each site pair ``A`` one :func:`cross_marginal` call gives the
-    blocks ``T_A[j, k] = Tr_B |b_j><b_k|``, and their contraction
-    with the two-site swap ``F`` gives the ``r x r`` Hermitian matrix
-    ``S_A[k, j] = Tr(F T_A[j, k])``; the ``P`` matrices are stacked into
-    one ``(P r) x r`` array.  The marginal ``tau_A(c)`` of an invariant
-    state is the Werner state with trace ``t = c^H c`` and swap
-    expectation ``s_A = c^H S_A c``, so with ``dim = d**2`` and
-    ``kappa = 1 / (d (d**2 - 1))``:
+    ``B`` holds the members' amplitudes over their joint support, one
+    row each.  The swap ``P_A`` of a site pair ``A = (a, b)`` permutes
+    multi-indices, so with ``B_A`` the columns of ``B`` read at the
+    images ``S_A = conj(B) B_A^T`` is ``S_A[k, j] = <b_k|P_A|b_j>``; the
+    ``P`` matrices are stacked into one ``(P r) x r`` array.  The marginal
+    ``tau_A(c)`` of an invariant state is the Werner state with trace
+    ``t = c^H c`` and swap expectation ``s_A = c^H S_A c``, so with
+    ``dim = d**2`` and ``kappa = 1 / (d (d**2 - 1))``:
 
         D(c) = kappa (d sum_A s_A**2 - 2 t sum_A s_A + P d t**2) - P (2 t - 1) / dim.
 
     This is ``sum_A ||tau_A(c) - I/dim||_F**2`` at every ``c``, on the
-    unit sphere or off it, for an orthonormal invariant basis.  Memory
-    is ``P r**2`` complex entries.
+    unit sphere or off it, for an orthonormal invariant basis.  Build
+    memory is ``B``, one permuted copy of it and ``P r**2`` complex swap
+    entries.
     """
 
     def __init__(self, basis: SingletBasis) -> None:
@@ -73,14 +80,23 @@ class PairDeficitObjective:
         shape = basis.shape
         if shape.n < 2:
             raise ValueError(f"pair deficit needs n >= 2, got n={shape.n}")
-        r, d = basis.dimension, shape.d
-        pairs = list(combinations(range(shape.n), 2))
-        states = basis.states
+        r, n, d = basis.dimension, shape.n, shape.d
+        if d**n >= 2**63:
+            raise ValueError(f"multi-index codes overflow int64 at shape {shape}")
+        pairs = list(combinations(range(n), 2))
+        digits, amps = joint_amplitudes(basis.states)
+        # Digits are stored unsigned; differences need a signed type.
+        digits = digits.astype(np.int64)
+        weights = _weights(d, n)
+        codes = digits @ weights
         swaps = np.empty((len(pairs), r, r), dtype=complex)
-        for swap, sites in zip(swaps, pairs):
-            blocks = cross_marginal(states, states, sites).reshape(r, r, d, d, d, d)
-            # Tr(F T) = sum_{ab} T[(b, a), (a, b)]
-            swap[...] = np.einsum("jkbaab->kj", blocks)
+        for swap, (a, b) in zip(swaps, pairs):
+            # Base-d code of each support row with digits a and b exchanged.
+            image = codes + (digits[:, a] - digits[:, b]) * (weights[b] - weights[a])
+            rows = np.minimum(np.searchsorted(codes, image), codes.size - 1)
+            # An image outside the joint support has amplitude 0 in every member.
+            moved = np.where(codes[rows] == image, amps[:, rows], 0.0)
+            swap[...] = amps.conj() @ moved.T
         self._swaps = swaps.reshape(len(pairs) * r, r)
         self._pairs = len(pairs)
         self._d = d
@@ -240,7 +256,10 @@ def minimize_deficit(
     Runs ``restarts`` seeded projected-gradient descents and returns the
     best endpoint.  A one-dimensional basis needs no search: up to
     phase there is only one state, so its deficit is returned directly
-    with zero iterations.
+    with zero iterations.  The reported deficit is replayed with
+    :func:`pair_deficit` on the reported state; :class:`ValueError` is
+    raised when the two differ by more than ``DEFAULT_TOL``, as they do
+    for a basis that is not orthonormal and invariant.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -249,32 +268,29 @@ def minimize_deficit(
     floor = float(certificate.deficit_floor) if certificate.deficit_floor is not None else 0.0
     if basis.dimension == 1:
         deficit = objective.value(np.ones(1, dtype=complex))
-        return OptimizationResult(
-            coefficients=(1.0 + 0.0j,),
-            deficit=deficit,
-            floor=floor,
-            iterations=0,
-            converged=True,
-            restarts=restarts,
-            seed=seed,
-            trajectory=(deficit,),
-            restart_deficits=(deficit,),
+        x, trajectory, converged, iterations = np.array([1.0, 0.0]), [deficit], True, 0
+        finals = [deficit]
+    else:
+        rng = np.random.default_rng(seed)
+        best: tuple[np.ndarray, list[float], bool, int] | None = None
+        finals = []
+        for _ in range(restarts):
+            start = rng.standard_normal(2 * basis.dimension)
+            outcome = _descend(objective, start, max_iters, gtol)
+            finals.append(outcome[1][-1])
+            if best is None or outcome[1][-1] < best[1][-1]:
+                best = outcome
+        assert best is not None
+        x, trajectory, converged, iterations = best
+    coefficients = _complexify(x / np.linalg.norm(x))
+    replay = pair_deficit(basis.combine(coefficients).normalized())
+    if abs(replay - trajectory[-1]) > DEFAULT_TOL:
+        raise ValueError(
+            f"best deficit {trajectory[-1]:.12g} disagrees with the replayed pair deficit "
+            f"{replay:.12g} of its state: the swap form needs an orthonormal invariant basis"
         )
-    rng = np.random.default_rng(seed)
-    size = 2 * basis.dimension
-    best: tuple[np.ndarray, list[float], bool, int] | None = None
-    finals: list[float] = []
-    for _ in range(restarts):
-        start = rng.standard_normal(size)
-        outcome = _descend(objective, start, max_iters, gtol)
-        finals.append(outcome[1][-1])
-        if best is None or outcome[1][-1] < best[1][-1]:
-            best = outcome
-    assert best is not None
-    x, trajectory, converged, iterations = best
-    x = x / np.linalg.norm(x)
     return OptimizationResult(
-        coefficients=tuple(complex(z) for z in _complexify(x)),
+        coefficients=tuple(complex(z) for z in coefficients),
         deficit=trajectory[-1],
         floor=floor,
         iterations=iterations,

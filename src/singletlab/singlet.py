@@ -73,7 +73,8 @@ class PhaseFunctionError(ValueError):
 
 
 class SubspaceRankError(RuntimeError):
-    """Numerical kernel rank disagrees with the combinatorial dimension count."""
+    """The tableau count disagrees with the hook-length dimension, or a
+    Gram-Schmidt pivot ratio falls below ``tol``."""
 
 
 def standard_traceless_generators(d: int) -> list[np.ndarray]:

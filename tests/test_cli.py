@@ -179,6 +179,27 @@ class TestOptimize:
 
 
 class TestErrorHandling:
+    def test_optimize_rejects_a_basis_that_is_not_invariant(self, tmp_path, capsys):
+        # Orthonormal and balanced, but not invariant: verify exits 1 on it.
+        payload = {
+            "n": 4,
+            "d": 2,
+            "K": 2,
+            "dimension": 2,
+            "tolerance": 1e-9,
+            "permutation_phase": None,
+            "seed": 0,
+            "states": [
+                {"n": 4, "d": 2, "amplitudes": [{"index": index, "re": 1.0, "im": 0.0}]}
+                for index in ([0, 0, 1, 1], [0, 1, 0, 1])
+            ],
+        }
+        bad = str(tmp_path / "not_invariant.json")
+        with open(bad, "w") as handle:
+            json.dump(payload, handle)
+        assert main(["optimize", "--basis", bad, "--restarts", "2"]) == 2
+        assert "pair deficit 2.5" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["check-invariance", "--state", "/no/such/file.json"]) == 2
 

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from singletlab import (
     PairDeficitObjective,
+    PureState,
+    SingletBasis,
     SystemShape,
     certify,
     cross_marginal,
@@ -17,6 +19,7 @@ from singletlab import (
     minimize_deficit,
     optimize,
     pair_deficit,
+    permute_particles,
     result_to_dict,
 )
 
@@ -42,6 +45,24 @@ def quartic_reference(basis, c):
         value += float(np.sum(np.abs(diff) ** 2))
         grad += 2.0 * np.einsum("j,ab,jkba->k", c, diff, blocks)
     return value, grad
+
+
+def balanced_not_invariant_basis():
+    """Orthonormal, balanced (4,2) basis {|0011>, |0101>} that is not invariant.
+
+    Exchanging sites 0 and 1 maps |0101> to |1001>, outside the joint support.
+    """
+    shape = SystemShape(4, 2)
+    states = tuple(PureState(shape, {index: 1.0}) for index in [(0, 0, 1, 1), (0, 1, 0, 1)])
+    return SingletBasis(shape=shape, tolerance=1e-9, states=states)
+
+
+def werner_deficit(trace, swap, d):
+    """``||rho - I/d**2||_F**2`` for the Werner state ``rho = alpha I + beta F``
+    with ``Tr rho = trace`` and ``Tr(F rho) = swap``."""
+    alpha, beta = np.linalg.solve([[d * d, d], [d, d * d]], [trace, swap])
+    shift = alpha - 1.0 / d**2
+    return d * d * (shift**2 + 2.0 * shift * beta / d + beta**2)
 
 
 def werner_jensen_bound(n, d):
@@ -92,6 +113,31 @@ class TestObjective:
             assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-13)
             assert objective.value(c) == value
             assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * max(1.0, ref_value))
+
+    def test_swaps_read_zero_outside_the_joint_support(self):
+        # The value is the Werner expression of the true swap expectations
+        # even where a swapped multi-index leaves the support; a misindexed
+        # image would read some other member's amplitude instead.
+        basis = balanced_not_invariant_basis()
+        objective = PairDeficitObjective(basis)
+        rng = np.random.default_rng(90)
+        for _ in range(3):
+            c = random_unit_coefficients(basis.dimension, rng)
+            psi = basis.combine(c)
+            expected = 0.0
+            for a, b in combinations(range(4), 2):
+                order = list(range(4))
+                order[a], order[b] = b, a
+                swap = psi.overlap(permute_particles(psi, order)).real
+                expected += werner_deficit(psi.norm() ** 2, swap, 2)
+            assert objective.value(c) == pytest.approx(expected, abs=1e-13)
+
+    def test_rejects_shapes_whose_codes_overflow(self):
+        # 2**64 multi-indices cannot be coded in int64.
+        shape = SystemShape(64, 2)
+        states = (PureState(shape, {(0, 1) * 32: 1.0}), PureState(shape, {(1, 0) * 32: 1.0}))
+        with pytest.raises(ValueError, match="overflow"):
+            PairDeficitObjective(SingletBasis(shape=shape, tolerance=1e-9, states=states))
 
     def test_build_memory_is_pairs_times_rank_squared(self, basis_cache):
         # 66 pairs x 132**2 complex swap entries are 18 MB; a quartic
@@ -229,6 +275,12 @@ class TestMinimizeDeficit:
             probe = c + 1e-3 * bump
             probe /= np.linalg.norm(probe)
             assert objective.value(probe) >= result.deficit - 1e-9
+
+    def test_rejects_a_basis_that_is_not_invariant(self):
+        # The swap form reports the certificate floor 1/12 here, while the
+        # state it returns has pair deficit 5/2.
+        with pytest.raises(ValueError, match="0.0833333333333.*2.5"):
+            minimize_deficit(balanced_not_invariant_basis(), restarts=2)
 
     def test_rejects_bad_arguments(self, basis_cache):
         with pytest.raises(ValueError):
