@@ -7,16 +7,34 @@ round-trip ``repr``: a pure function of the double that parses back to
 the same bits, so identical inputs give byte-identical files.  NaN and
 infinities are rejected, and so are non-string object keys, which the
 stdlib encoder would otherwise coerce to strings.
+
+Basis and state files hold one dict per amplitude in their dict forms,
+so they are written without building those dicts.  A document value may
+be :class:`Deferred`: :func:`amplitude_lists` encodes amplitude lists
+straight from the digit and amplitude arrays, and :func:`streamed`
+writes a list of documents one member at a time.  :func:`dump` checks
+and encodes every other value before it opens the file, and writes the
+deferred text only as it reaches it.  The bytes are those :func:`dumps`
+gives for the dict forms.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from typing import Any
 
-__all__ = ["dumps", "dump", "load"]
+import numpy as np
+
+__all__ = ["Deferred", "amplitude_lists", "streamed", "dumps", "dump", "load"]
 
 _LEAVES = frozenset({str, int, float, bool, type(None)})
+
+# One amplitude entry, as the stdlib encoder writes {"index": [...], "re": x, "im": y}:
+# ``str`` of a list of ints is its JSON, and ``%r`` of a float is ``float.__repr__``,
+# the function the encoder itself calls.
+_ENTRY = '{"index": %s, "re": %r, "im": %r}'
 
 
 def _check_keys(obj: Any) -> None:
@@ -33,16 +51,103 @@ def _check_keys(obj: Any) -> None:
             _check_keys(item)
 
 
+def _encode(obj: Any) -> str:
+    _check_keys(obj)
+    return json.dumps(obj, allow_nan=False)
+
+
+class Deferred:
+    """A document value whose JSON text is made, in pieces, only when :func:`dump` writes it."""
+
+    __slots__ = ("_pieces",)
+
+    def __init__(self, pieces: Callable[[], Iterable[str]]) -> None:
+        self._pieces = pieces
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pieces())
+
+
+def amplitude_lists(
+    rows: np.ndarray, positions: Sequence[np.ndarray], values: Sequence[np.ndarray]
+) -> list[Deferred]:
+    """The ``amplitudes`` value of each of several states, encoded when written.
+
+    ``rows`` holds distinct index rows.  State ``k`` stores the index
+    ``rows[positions[k][i]]`` with amplitude ``values[k][i]``.  Each row's
+    text is made once and shared by every state that stores it.  A
+    non-finite amplitude raises the stdlib encoder's ``ValueError`` here,
+    before any file is opened.
+    """
+    for vector in values:
+        bad = vector[~np.isfinite(vector)]
+        if bad.size:
+            # The stdlib encoder raises its own error on the first one.
+            json.dumps([float(bad[0].real), float(bad[0].imag)], allow_nan=False)
+    table = np.array([str(row) for row in rows.tolist()], dtype=object)
+    return [
+        Deferred(partial(_amplitude_list, table[where], vector))
+        for where, vector in zip(positions, values)
+    ]
+
+
+def _amplitude_list(index: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    entries = zip(index.tolist(), values.real.tolist(), values.imag.tolist())
+    yield "[" + ", ".join(map(_ENTRY.__mod__, entries)) + "]"
+
+
+def _parts(document: dict) -> list:
+    """``document``'s JSON text as strings, with its :class:`Deferred` values left in place."""
+    parts, separator = ["{"], ""
+    for key, value in document.items():
+        if isinstance(value, Deferred):
+            # '"key": ', cut from the encoding of {key: null}
+            parts += [separator + _encode({key: None})[1:-5], value]
+        else:
+            parts.append(separator + _encode({key: value})[1:-1])
+        separator = ", "
+    parts.append("}")
+    return parts
+
+
+def _pieces(parts: list) -> Iterator[str]:
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
+
+
+def streamed(documents: Iterable[dict]) -> Deferred:
+    """A list of documents, written one member at a time.
+
+    Each member's values other than :class:`Deferred` ones are checked
+    and encoded here.
+    """
+    parts = ["["]
+    for position, document in enumerate(documents):
+        if position:
+            parts.append(", ")
+        parts += _parts(document)
+    parts.append("]")
+    return Deferred(partial(_pieces, parts))
+
+
 def dumps(obj: Any) -> str:
     """Serialize ``obj`` to a deterministic, newline-terminated JSON string."""
-    _check_keys(obj)
-    return json.dumps(obj, allow_nan=False) + "\n"
+    return _encode(obj) + "\n"
 
 
-def dump(obj: Any, path: str) -> None:
-    """Write ``obj`` as JSON to ``path``."""
+def dump(document: dict, path: str) -> None:
+    """Write ``document`` to ``path``: the text :func:`dumps` gives for its dict form.
+
+    Every value except the :class:`Deferred` ones is checked and encoded
+    before the file is opened.
+    """
+    parts = _parts(document)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj))
+        handle.writelines(_pieces(parts))
+        handle.write("\n")
 
 
 def load(path: str) -> dict:

@@ -29,13 +29,14 @@ from .singlet import (
     PhaseFunctionError,
     SubspaceRankError,
     basis_from_dict,
-    basis_to_dict,
     check_sign_relation,
     expected_dimension,
     extract_phase_function,
     load_basis,
     build_singlet_basis,
     check_memory,
+    measure_phase,
+    save_basis,
     verify_invariance,
 )
 from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state, state_from_dict
@@ -51,8 +52,8 @@ def _write(document: dict, path: str | None) -> None:
 
 def cmd_subspace(args: argparse.Namespace) -> int:
     shape = SystemShape(args.n, args.d)
-    # The artifact holds every amplitude as a dict, which takes far more
-    # room than the basis itself, so it is counted before the build.
+    # The estimate counts the artifact as the per-amplitude dicts of
+    # basis_to_dict, more than save_basis holds; see check_memory.
     check_memory(shape, document=True)
     basis = build_singlet_basis(shape, args.tol)
     print(f"n: {shape.n}")
@@ -62,10 +63,11 @@ def cmd_subspace(args: argparse.Namespace) -> int:
     if shape.divisible:
         print(f"K: {shape.copies}")
         print(f"support size: {SupportProfile.uniform(shape).size()}")
-    document = basis_to_dict(basis, seed=args.seed)
+    phase = measure_phase(basis, seed=args.seed)
     if basis.dimension:
-        print(f"permutation_phase: {document['permutation_phase']}")
-    _write(document, args.out)
+        print(f"permutation_phase: {phase}")
+    if args.out is not None:
+        save_basis(basis, args.out, seed=args.seed, phase=phase)
     return 0
 
 

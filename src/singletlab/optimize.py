@@ -68,7 +68,10 @@ class PairDeficitObjective:
         D(c) = kappa (d sum_A s_A**2 - 2 t sum_A s_A + P d t**2) - P (2 t - 1) / dim.
 
     This is ``sum_A ||tau_A(c) - I/dim||_F**2`` at every ``c``, on the
-    unit sphere or off it, for an orthonormal invariant basis.  Build
+    unit sphere or off it, for an orthonormal invariant basis.  At
+    ``d = 1`` every marginal is the ``1 x 1`` matrix ``(t)`` and
+    ``s_A = t``, where the bracket is 0/0; the term it stands for,
+    ``sum_A tr tau_A**2``, is ``P t**2`` there.  Build
     memory is ``B``, one permuted copy of it and ``P r**2`` complex swap
     entries.
     """
@@ -100,7 +103,9 @@ class PairDeficitObjective:
         self._swaps = swaps.reshape(len(pairs) * r, r)
         self._pairs = len(pairs)
         self._d = d
-        self._kappa = 1.0 / (d * (d * d - 1))
+        # sum_A tr tau_A**2 is kappa (...) for d > 1 and P t**2 at d = 1.
+        self._kappa = 1.0 / (d * (d * d - 1)) if d > 1 else 0.0
+        self._one_level = 0.0 if d > 1 else 1.0
 
     @property
     def dimension(self) -> int:
@@ -113,6 +118,7 @@ class PairDeficitObjective:
         t = float(np.vdot(c, c).real)
         d, pairs = self._d, self._pairs
         value = self._kappa * (d * (s @ s) - 2.0 * t * s.sum() + pairs * d * t * t)
+        value += self._one_level * pairs * t * t
         return float(value - pairs * (2.0 * t - 1.0) / d**2), products, s, t
 
     def value(self, coeffs: Sequence[complex]) -> float:
@@ -132,7 +138,8 @@ class PairDeficitObjective:
         value, products, s, t = self._evaluate(c)
         d, pairs, kappa = self._d, self._pairs, self._kappa
         weights = 2.0 * kappa * (d * s - t)
-        scale = 2.0 * kappa * (d * t * pairs - s.sum()) - 2.0 * pairs / d**2
+        scale = 2.0 * kappa * (d * t * pairs - s.sum()) + 2.0 * self._one_level * pairs * t
+        scale -= 2.0 * pairs / d**2
         return value, weights @ products + scale * c
 
 

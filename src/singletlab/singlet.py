@@ -35,6 +35,7 @@ from .states import (
     PureState,
     SupportProfile,
     SystemShape,
+    _state_documents,
     _weights,
     apply_local,
     enumerate_support,
@@ -58,6 +59,7 @@ __all__ = [
     "verify_invariance",
     "extract_phase_function",
     "check_sign_relation",
+    "measure_phase",
     "basis_to_dict",
     "basis_from_dict",
     "save_basis",
@@ -195,6 +197,9 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     the artifact of :func:`basis_to_dict` and its JSON text: a dict, an
     ``n``-entry index list and two floats per amplitude, about
     ``300 + 8 n`` bytes, and up to 200 bytes more while encoding.
+    :func:`save_basis` builds no such dicts and holds the text of one
+    member at a time, so that term over-counts what ``subspace`` uses;
+    it is kept because it is what refuses (12,3) before the build.
     Shapes ``d`` does not divide build nothing and always pass.
     """
     if not shape.divisible:
@@ -445,18 +450,20 @@ def all_label_permutations(d: int):
 # --- JSON interface -------------------------------------------------------
 
 
-def basis_to_dict(basis: SingletBasis, seed: int = 0, phase_samples: int = 8) -> dict:
-    """Plain-dict form: metadata plus the member states.
+def measure_phase(basis: SingletBasis, seed: int = 0, samples: int = 8) -> str | None:
+    """Permutation phase of the first member, or None for an empty basis.
 
-    The permutation phase in the metadata is measured from the first
-    member (null for an empty basis).
+    Measured with :func:`extract_phase_function` from ``samples`` Haar
+    draws seeded with ``seed``; it is the ``permutation_phase`` of the
+    basis documents.
     """
+    if not basis.dimension:
+        return None
+    return extract_phase_function(basis.states[0], samples=samples, seed=seed).permutation_phase
+
+
+def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -> dict:
     shape = basis.shape
-    phase = None
-    if basis.dimension:
-        phase = extract_phase_function(
-            basis.states[0], samples=phase_samples, seed=seed
-        ).permutation_phase
     return {
         "n": shape.n,
         "d": shape.d,
@@ -465,8 +472,18 @@ def basis_to_dict(basis: SingletBasis, seed: int = 0, phase_samples: int = 8) ->
         "tolerance": basis.tolerance,
         "permutation_phase": phase,
         "seed": seed,
-        "states": [state_to_dict(state) for state in basis.states],
+        "states": states,
     }
+
+
+def basis_to_dict(basis: SingletBasis, seed: int = 0, phase_samples: int = 8) -> dict:
+    """Plain-dict form: metadata plus the member states.
+
+    The permutation phase in the metadata is :func:`measure_phase` of the
+    basis (null for an empty basis).
+    """
+    phase = measure_phase(basis, seed=seed, samples=phase_samples)
+    return _basis_document(basis, seed, phase, [state_to_dict(state) for state in basis.states])
 
 
 def basis_from_dict(obj: dict) -> SingletBasis:
@@ -487,8 +504,17 @@ def basis_from_dict(obj: dict) -> SingletBasis:
     return SingletBasis(shape=shape, tolerance=tol, states=states)
 
 
-def save_basis(basis: SingletBasis, path: str, seed: int = 0) -> None:
-    _json.dump(basis_to_dict(basis, seed=seed), path)
+def save_basis(basis: SingletBasis, path: str, seed: int = 0, phase: str | None = None) -> None:
+    """Write the file whose text is ``_json.dumps(basis_to_dict(basis, seed))``.
+
+    Members are encoded from their arrays and written one at a time.
+    ``phase`` is the :func:`measure_phase` of the basis when the caller
+    has it already; otherwise it is measured here.
+    """
+    if phase is None:
+        phase = measure_phase(basis, seed=seed)
+    members = _json.streamed(_state_documents(basis.states))
+    _json.dump(_basis_document(basis, seed, phase, members), path)
 
 
 def load_basis(path: str) -> SingletBasis:

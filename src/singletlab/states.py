@@ -727,16 +727,36 @@ def partial_trace(
 # with only nonzero amplitudes, sorted lexicographically by index.
 
 
+def _state_document(shape: SystemShape, amplitudes) -> dict:
+    return {"n": shape.n, "d": shape.d, "amplitudes": amplitudes}
+
+
 def state_to_dict(state: PureState) -> dict:
     """Plain-dict form of a state (see module notes for the schema)."""
-    return {
-        "n": state.shape.n,
-        "d": state.shape.d,
-        "amplitudes": [
+    return _state_document(
+        state.shape,
+        [
             {"index": index, "re": value.real, "im": value.imag}
             for index, value in zip(state.digits.tolist(), state.values.tolist())
         ],
-    }
+    )
+
+
+def _state_documents(states: Sequence[PureState]) -> list[dict]:
+    """Documents of same-shape states for :func:`_json.dump`, with no per-amplitude dicts.
+
+    Their amplitude lists are encoded only when written, from one table
+    of the distinct index rows.  Non-finite amplitudes raise ``ValueError``.
+    """
+    if not states:
+        return []
+    digits = np.concatenate([state.digits for state in states])
+    inverse, first = _group_rows(digits, states[0].shape.d)
+    offsets = np.cumsum([state.values.size for state in states])[:-1]
+    lists = _json.amplitude_lists(
+        digits[first], np.split(inverse, offsets), [state.values for state in states]
+    )
+    return [_state_document(state.shape, amplitudes) for state, amplitudes in zip(states, lists)]
 
 
 def state_from_dict(obj: Mapping) -> PureState:
@@ -756,7 +776,7 @@ def state_from_dict(obj: Mapping) -> PureState:
 
 
 def save_state(state: PureState, path: str) -> None:
-    _json.dump(state_to_dict(state), path)
+    _json.dump(_state_documents([state])[0], path)
 
 
 def load_state(path: str) -> PureState:

@@ -273,3 +273,16 @@ class TestErrorHandling:
         assert proc.stderr.startswith("error: ") and "JSON document" in proc.stderr
         assert "support 34650, dimension 462" in proc.stderr and "1 GiB" in proc.stderr
         assert time.perf_counter() - start < 5.0
+
+
+class TestOneLevelShape:
+    def test_optimize_reports_deficit_zero_against_floor_zero(self, tmp_path, capsys):
+        # At d = 1 every pair marginal is the 1 x 1 matrix (1) = I / 1.
+        basis = str(tmp_path / "basis_2_1.json")
+        out = str(tmp_path / "opt.json")
+        assert main(["subspace", "--n", "2", "--d", "1", "--out", basis]) == 0
+        assert main(["optimize", "--basis", basis, "--out", out]) == 0
+        text = capsys.readouterr().out
+        assert "best deficit: 0\n" in text and "certificate floor: 0\n" in text
+        payload = _json.load(out)
+        assert payload["deficit"] == 0.0 and payload["floor"] == {"num": 0, "den": 1}

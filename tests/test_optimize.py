@@ -154,6 +154,18 @@ class TestObjective:
     def test_gradient_check_trivial_for_rank_one(self, basis_cache):
         assert gradient_check(basis_cache(2, 2)) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_level_shape_matches_quartic_reference_off_the_sphere(self, n, basis_cache):
+        # At d = 1 the Werner form is 0/0: every pair marginal is (t), s_A = t.
+        objective = PairDeficitObjective(basis_cache(n, 1))
+        for scale in [0.3, 1.0, 1.7]:
+            c = np.array([scale * np.exp(0.4j)])
+            value, grad = objective.value_and_gradient(c)
+            ref_value, ref_grad = quartic_reference(objective.basis, c)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-13)
+            assert objective.value(c) == value
+            assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * max(1.0, ref_value))
+
 
 class TestMinimizeDeficit:
     # independently cross-checked minima of the pair deficit on each subspace
