@@ -8,8 +8,9 @@ in the swap expectations ``s_ab = c^H S_ab c``, with one precomputed
 (the basis amplitudes against a copy with sites ``a`` and ``b``
 exchanged, so no marginal is formed), and both the objective and its
 gradient come out of one matrix-vector product.  The search runs
-projected gradient descent on the unit coefficient sphere, with Armijo
-backtracking from Barzilai-Borwein steps and seeded random restarts.
+projected gradient descent on the unit sphere of complex coefficients,
+with Armijo backtracking from Barzilai-Borwein steps and seeded random
+restarts; each trial point costs one value-and-gradient evaluation.
 Its purpose is to exhibit, not assume, that the best reachable deficit
 stays above the certificate floor.
 """
@@ -134,7 +135,7 @@ class PairDeficitObjective:
         """
         c = np.asarray(coeffs, dtype=complex)
         # ``value`` goes through the same contraction, so the two agree
-        # bitwise; the line search compares one against the other.
+        # bitwise.
         value, products, s, t = self._evaluate(c)
         d, pairs, kappa = self._d, self._pairs, self._kappa
         weights = 2.0 * kappa * (d * s - t)
@@ -143,13 +144,10 @@ class PairDeficitObjective:
         return value, weights @ products + scale * c
 
 
-def _embed(c: np.ndarray) -> np.ndarray:
-    return np.concatenate([c.real, c.imag])
-
-
-def _complexify(x: np.ndarray) -> np.ndarray:
-    half = x.size // 2
-    return x[:half] + 1j * x[half:]
+def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Complex vector from one real draw of ``2 size`` normals: real half first."""
+    draw = rng.standard_normal(2 * size)
+    return draw[:size] + 1j * draw[size:]
 
 
 def _bb_step(move: np.ndarray, change: np.ndarray, long: bool) -> float:
@@ -157,12 +155,16 @@ def _bb_step(move: np.ndarray, change: np.ndarray, long: bool) -> float:
 
     ``long`` picks the first (``|s|^2 / s.y``) form, otherwise the second
     (``s.y / |y|^2``); without positive curvature along the move the
-    default step is used.
+    default step is used.  ``s.y`` is the real inner product
+    ``Re <s, y>`` of the complex coordinates.
     """
-    curvature = float(move @ change)
+    curvature = float(np.vdot(move, change).real)
     if curvature <= 0.0:
         return _STEP0
-    step = float(move @ move) / curvature if long else curvature / float(change @ change)
+    if long:
+        step = float(np.vdot(move, move).real) / curvature
+    else:
+        step = curvature / float(np.vdot(change, change).real)
     return min(max(step, _BB_MIN), _BB_MAX)
 
 
@@ -174,19 +176,24 @@ def _descend(
 ) -> tuple[np.ndarray, list[float], bool, int]:
     """Projected gradient descent on the unit sphere from one start point.
 
+    The iterate is the complex coefficient vector itself; the real
+    gradient in ``(Re c, Im c)`` is twice the Wirtinger gradient, read
+    back as a complex vector, with real inner product ``Re <a, b>``.
     Each monotone Armijo backtrack starts from a Barzilai-Borwein step,
     the two forms in turn, taken from the last accepted move and the
-    change in the tangent gradient it caused.
+    change in the tangent gradient it caused.  Every trial point is
+    evaluated once, value and gradient together, and the accepted one
+    carries both into the next iteration.
     """
-    x = start / np.linalg.norm(start)
-    value, wirtinger = objective.value_and_gradient(_complexify(x))
+    c = start / np.linalg.norm(start)
+    value, wirtinger = objective.value_and_gradient(c)
     trajectory = [value]
     converged = False
     iterations = 0
     previous: tuple[np.ndarray, np.ndarray] | None = None
     for _ in range(max_iters):
-        gradient = np.concatenate([2.0 * wirtinger.real, 2.0 * wirtinger.imag])
-        tangent = gradient - (gradient @ x) * x
+        gradient = 2.0 * wirtinger
+        tangent = gradient - np.vdot(c, gradient).real * c
         gnorm = float(np.linalg.norm(tangent))
         if gnorm <= gtol:
             converged = True
@@ -194,8 +201,7 @@ def _descend(
         if previous is None:
             step = _STEP0
         else:
-            step = _bb_step(x - previous[0], tangent - previous[1], iterations % 2 == 1)
-        accepted = False
+            step = _bb_step(c - previous[0], tangent - previous[1], iterations % 2 == 1)
         while step >= _MIN_STEP:
             # Near the valley floor the Armijo margin can underflow
             # below one ulp of ``value``; flooring it at a few ulps
@@ -203,31 +209,21 @@ def _descend(
             # the iterate can neither drift at constant value nor creep
             # one ulp at a time until the iteration cap.
             margin = max(_ARMIJO * step * gnorm**2, 4.0 * np.spacing(value))
-            candidate = x - step * tangent
+            candidate = c - step * tangent
             candidate /= np.linalg.norm(candidate)
-            cand_value = objective.value(_complexify(candidate))
+            cand_value, cand_wirtinger = objective.value_and_gradient(candidate)
             if cand_value <= value - margin:
-                accepted = True
                 break
             step *= _SHRINK
-        if not accepted:
+        else:
             # No productive step left at this scale; treat as stationary.
             converged = gnorm <= max(gtol, 1e-6)
             break
-        new_value, new_wirtinger = objective.value_and_gradient(_complexify(candidate))
-        if not new_value < value:
-            # The accepted decrease did not survive re-evaluation, so
-            # the objective is flat here at floating-point resolution;
-            # moving on would let the loop spin at constant value.
-            converged = gnorm <= max(gtol, 1e-6)
-            break
-        previous = (x, tangent)
-        x = candidate
-        value = new_value
-        wirtinger = new_wirtinger
+        previous = (c, tangent)
+        c, value, wirtinger = candidate, cand_value, cand_wirtinger
         iterations += 1
         trajectory.append(value)
-    return x, trajectory, converged, iterations
+    return c, trajectory, converged, iterations
 
 
 @dataclass(frozen=True)
@@ -270,26 +266,28 @@ def minimize_deficit(
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     objective = PairDeficitObjective(basis)
     certificate = certify(basis.shape)
     floor = float(certificate.deficit_floor) if certificate.deficit_floor is not None else 0.0
     if basis.dimension == 1:
         deficit = objective.value(np.ones(1, dtype=complex))
-        x, trajectory, converged, iterations = np.array([1.0, 0.0]), [deficit], True, 0
+        c, trajectory, converged, iterations = np.ones(1, dtype=complex), [deficit], True, 0
         finals = [deficit]
     else:
         rng = np.random.default_rng(seed)
         best: tuple[np.ndarray, list[float], bool, int] | None = None
         finals = []
         for _ in range(restarts):
-            start = rng.standard_normal(2 * basis.dimension)
+            start = _complex_normal(rng, basis.dimension)
             outcome = _descend(objective, start, max_iters, gtol)
             finals.append(outcome[1][-1])
             if best is None or outcome[1][-1] < best[1][-1]:
                 best = outcome
         assert best is not None
-        x, trajectory, converged, iterations = best
-    coefficients = _complexify(x / np.linalg.norm(x))
+        c, trajectory, converged, iterations = best
+    coefficients = c / np.linalg.norm(c)
     replay = pair_deficit(basis.combine(coefficients).normalized())
     if abs(replay - trajectory[-1]) > DEFAULT_TOL:
         raise ValueError(
@@ -328,22 +326,20 @@ def gradient_check(
     if basis.dimension == 1:
         return 0.0
     rng = np.random.default_rng(seed)
-    if coefficients is None:
-        x = rng.standard_normal(2 * basis.dimension)
-    else:
-        x = _embed(np.asarray(coefficients, dtype=complex))
-    x = x / np.linalg.norm(x)
-    _, wirtinger = objective.value_and_gradient(_complexify(x))
-    gradient = np.concatenate([2.0 * wirtinger.real, 2.0 * wirtinger.imag])
+    r = basis.dimension
+    c = _complex_normal(rng, r) if coefficients is None else np.asarray(coefficients, dtype=complex)
+    c = c / np.linalg.norm(c)
+    _, wirtinger = objective.value_and_gradient(c)
+    gradient = 2.0 * wirtinger
     worst = 0.0
     for _ in range(directions):
-        direction = rng.standard_normal(x.size)
-        direction -= (direction @ x) * x
+        direction = _complex_normal(rng, r)
+        direction -= np.vdot(c, direction).real * c
         direction /= np.linalg.norm(direction)
-        forward = objective.value(_complexify(x + step * direction))
-        backward = objective.value(_complexify(x - step * direction))
+        forward = objective.value(c + step * direction)
+        backward = objective.value(c - step * direction)
         numeric = (forward - backward) / (2.0 * step)
-        analytic = float(gradient @ direction)
+        analytic = float(np.vdot(gradient, direction).real)
         worst = max(worst, abs(numeric - analytic) / max(1.0, abs(analytic)))
     return worst
 

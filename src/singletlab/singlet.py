@@ -449,17 +449,21 @@ def all_label_permutations(d: int):
 
 # --- JSON interface -------------------------------------------------------
 
+# Haar draws behind the permutation phase recorded in basis documents.
+_PHASE_SAMPLES = 8
 
-def measure_phase(basis: SingletBasis, seed: int = 0, samples: int = 8) -> str | None:
+
+def measure_phase(basis: SingletBasis, seed: int = 0) -> str | None:
     """Permutation phase of the first member, or None for an empty basis.
 
-    Measured with :func:`extract_phase_function` from ``samples`` Haar
-    draws seeded with ``seed``; it is the ``permutation_phase`` of the
-    basis documents.
+    Measured with :func:`extract_phase_function` from ``_PHASE_SAMPLES``
+    Haar draws seeded with ``seed``; it is the ``permutation_phase`` of
+    the basis documents.
     """
     if not basis.dimension:
         return None
-    return extract_phase_function(basis.states[0], samples=samples, seed=seed).permutation_phase
+    first = basis.states[0]
+    return extract_phase_function(first, samples=_PHASE_SAMPLES, seed=seed).permutation_phase
 
 
 def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -> dict:
@@ -476,13 +480,13 @@ def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -
     }
 
 
-def basis_to_dict(basis: SingletBasis, seed: int = 0, phase_samples: int = 8) -> dict:
+def basis_to_dict(basis: SingletBasis, seed: int = 0) -> dict:
     """Plain-dict form: metadata plus the member states.
 
     The permutation phase in the metadata is :func:`measure_phase` of the
     basis (null for an empty basis).
     """
-    phase = measure_phase(basis, seed=seed, samples=phase_samples)
+    phase = measure_phase(basis, seed=seed)
     return _basis_document(basis, seed, phase, [state_to_dict(state) for state in basis.states])
 
 

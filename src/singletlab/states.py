@@ -366,9 +366,6 @@ class PureState:
         _, amps = joint_amplitudes([self, other])
         return float(np.linalg.norm(amps[0] - amps[1]))
 
-    def allclose(self, other: "PureState", tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(other) <= tol
-
     def common_profile(self) -> SupportProfile | None:
         """The occupation profile shared by every stored index, or None.
 

@@ -200,6 +200,10 @@ class TestErrorHandling:
         assert main(["optimize", "--basis", bad, "--restarts", "2"]) == 2
         assert "pair deficit 2.5" in capsys.readouterr().err
 
+    def test_optimize_rejects_a_negative_iteration_cap(self, basis42_file, capsys):
+        assert main(["optimize", "--basis", basis42_file, "--max-iters", "-3"]) == 2
+        assert "max_iters must be >= 0, got -3" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["check-invariance", "--state", "/no/such/file.json"]) == 2
 

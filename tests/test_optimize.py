@@ -213,6 +213,22 @@ class TestMinimizeDeficit:
         assert calls["value"] < 20000
         assert result.converged
 
+    def test_one_objective_evaluation_per_trial_point(self, basis_cache, monkeypatch):
+        # Re-evaluating each accepted point for its gradient, after the
+        # line search had evaluated it for its value, made 13 869
+        # evaluations here.
+        calls = {"evaluate": 0}
+        evaluate = PairDeficitObjective._evaluate
+
+        def counted_evaluate(self, c):
+            calls["evaluate"] += 1
+            return evaluate(self, c)
+
+        monkeypatch.setattr(PairDeficitObjective, "_evaluate", counted_evaluate)
+        result = minimize_deficit(basis_cache(8, 2), restarts=16, seed=0)
+        assert result.converged
+        assert calls["evaluate"] < 10000
+
     def test_rank_one_subspace_needs_no_search(self, basis_cache, bell):
         result = minimize_deficit(basis_cache(2, 2), restarts=4, seed=0)
         assert result.iterations == 0
@@ -287,6 +303,10 @@ class TestMinimizeDeficit:
             probe = c + 1e-3 * bump
             probe /= np.linalg.norm(probe)
             assert objective.value(probe) >= result.deficit - 1e-9
+
+    def test_rejects_a_negative_iteration_cap(self, basis_cache):
+        with pytest.raises(ValueError, match="max_iters"):
+            minimize_deficit(basis_cache(4, 2), max_iters=-3)
 
     def test_rejects_a_basis_that_is_not_invariant(self):
         # The swap form reports the certificate floor 1/12 here, while the
