@@ -68,6 +68,23 @@ def _diagonal_mass(marginals: list[MarginalMatrix]) -> float:
     return sum(float(m.matrix.diagonal()[:: m.d + 1].real.sum()) for m in marginals)
 
 
+def _werner_deficit(marginals: list[MarginalMatrix], d: int) -> float:
+    """Pair deficit of a normalized invariant state, read from its swap expectations.
+
+    Every pair marginal of such a state is a Werner state, fixed by its
+    swap expectation ``s = sum_ij tau[(i, j), (j, i)]``, and its squared
+    distance from ``I / d**2`` is
+    ``f_d(s) = (d s**2 - 2 s + d) / (d (d**2 - 1)) - 1 / d**2``
+    (0 at ``d = 1``, where every marginal is ``(1)``).  This is the
+    per-pair form of the optimizer's objective at unit norm.
+    """
+    if d == 1 or not marginals:
+        return 0.0
+    blocks = np.stack([m.matrix for m in marginals]).reshape(-1, d, d, d, d)
+    s = np.einsum("pijji->p", blocks).real
+    return float(np.sum((d * s**2 - 2 * s + d) / (d * (d * d - 1)) - 1.0 / d**2))
+
+
 @dataclass(frozen=True)
 class NoGoCertificate:
     """Exact rational comparison between required and attainable diagonal mass.
@@ -178,8 +195,10 @@ def verify_certificate_numerically(
     First validates that the basis really spans an invariant subspace
     (balanced supports, orthonormal members, small invariance residual),
     then draws ``trials`` seeded random combinations and checks that the
-    counting sum matches the certificate's exact value within ``tol``
-    and the pair deficit never drops below the floor minus ``tol``.
+    counting sum matches the certificate's exact value within ``tol``,
+    the pair deficit never drops below the floor minus ``tol``, and the
+    pair deficit equals its Werner form (see :func:`_werner_deficit`),
+    read from the same marginals, within ``tol``.
 
     Raises :class:`CertificateViolationError` on any failure; for an
     honest basis the bounds hold by construction, so a violation means
@@ -227,6 +246,12 @@ def verify_certificate_numerically(
         if deficit < floor - tol:
             raise CertificateViolationError(
                 f"trial {trial}: pair deficit {deficit:.12g} below floor {floor:.12g}"
+            )
+        werner = _werner_deficit(marginals, basis.shape.d)
+        if abs(deficit - werner) > tol:
+            raise CertificateViolationError(
+                f"trial {trial}: pair deficit {deficit:.12g} differs from its "
+                f"Werner form {werner:.12g}, so the state is not invariant"
             )
     return CertificateCheck(
         trials=trials,

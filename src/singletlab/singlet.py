@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import resource
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -35,6 +33,9 @@ from .states import (
     PureState,
     SupportProfile,
     SystemShape,
+    _check_dense_memory,
+    _local_image,
+    _memory_limit,
     _state_documents,
     _weights,
     apply_local,
@@ -208,9 +209,7 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     support = SupportProfile.uniform(shape).size()
     per_entry = 3 * 8 + 16 + shape.n + (500 + 8 * shape.n if document else 0)
     need = support * (48 + 16 * shape.n) + dimension * support * per_entry
-    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _memory_limit()
     if need > limit:
         what = "the basis and its JSON document" if document else "the basis"
         raise MemoryError(
@@ -302,23 +301,29 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
 def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> float:
     """Worst residual of phase covariance over Haar-sampled unitaries.
 
-    For each sample ``U`` the state is mapped through ``U`` on every
-    site, the best-fitting phase is the overlap with the original state,
-    and the residual is the norm of what that phase cannot explain.
-    Returns the maximum residual; a singlet gives roundoff, anything
-    else gives an order-one value.
+    The state is expanded once into its dense ``d**n`` vector ``psi``.
+    For each sample ``U`` the image ``U^(x)n psi`` is formed with one
+    GEMM per site, the best-fitting phase is ``<psi|image>``, and the
+    residual is ``||image - phase psi||``, the part that phase cannot
+    explain.  Returns the maximum residual; a singlet gives roundoff,
+    anything else gives an order-one value.  Raises
+    :class:`MemoryError` before allocating when about ``64 * d**n`` bytes
+    (four dense vectors) exceed the available memory.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not state.is_normalized(DEFAULT_TOL):
         raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
+    n, d = state.shape.n, state.shape.d
+    _check_dense_memory(state.shape)
+    psi = state.to_dense()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        op = LocalOperator.unitary(haar_unitary(state.shape.d, rng))
-        image = apply_local(state, op)
-        phase = state.overlap(image)
-        worst = max(worst, image.distance(state.scaled(phase)))
+        op = LocalOperator.unitary(haar_unitary(d, rng))
+        image = _local_image(psi, op.matrix, n, d)
+        phase = np.vdot(psi, image)
+        worst = max(worst, float(np.linalg.norm(image - phase * psi)))
     return worst
 
 
@@ -346,29 +351,38 @@ def extract_phase_function(
 ) -> PhaseFunctionReport:
     """Measure how unitaries and label permutations rephase a singlet.
 
-    Every adjacent label transposition is applied exactly; each must
-    return the state times +1 or -1 and all must agree on the sign.
-    Haar samples (with the determinant phase conditioned away from 1 so
-    the principal logarithm is unambiguous) then fit the integer power
-    ``m`` in ``det(U)**m``.  The two measurements must agree in parity:
-    the sign under transpositions is minus exactly when ``m`` is odd.
+    The state is expanded once into its dense ``d**n`` vector ``psi``.
+    Every adjacent label transposition is applied to it exactly, by
+    relabeling the stored multi-indices; each must return ``psi`` times
+    +1 or -1 and all must agree on the sign.  Haar samples (with the
+    determinant phase conditioned away from 1 so the principal logarithm
+    is unambiguous) then read ``<psi|U^(x)n psi>``, one GEMM per site,
+    and fit the integer power ``m`` in ``det(U)**m``.  The two
+    measurements must agree in parity: the sign under transpositions is
+    minus exactly when ``m`` is odd.
 
     Raises :class:`PhaseFunctionError` whenever any measurement is
-    inconsistent, which signals the input is not a singlet.
+    inconsistent, which signals the input is not a singlet, and
+    :class:`MemoryError` before allocating when about ``64 * d**n``
+    bytes (four dense vectors) exceed the available memory.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not state.is_normalized(tol):
         raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
-    d = state.shape.d
+    n, d = state.shape.n, state.shape.d
+    _check_dense_memory(state.shape)
+    psi = state.to_dense()
+    weights = _weights(d, n)
     residual = 0.0
     sign: int | None = None
     for k in range(d - 1):
-        swap = list(range(d))
-        swap[k], swap[k + 1] = swap[k + 1], swap[k]
-        image = apply_local(state, LocalOperator.basis_permutation(swap))
-        gap_plus = image.distance(state)
-        gap_minus = image.distance(state.scaled(-1.0))
+        swap = np.arange(d)
+        swap[k], swap[k + 1] = k + 1, k
+        image = np.zeros_like(psi)
+        image[swap[state.digits] @ weights] = state.values
+        gap_plus = float(np.linalg.norm(image - psi))
+        gap_minus = float(np.linalg.norm(image + psi))
         if min(gap_plus, gap_minus) > tol:
             raise PhaseFunctionError(
                 f"transposition ({k},{k + 1}) returns neither +state nor -state "
@@ -384,14 +398,14 @@ def extract_phase_function(
 
     rng = np.random.default_rng(seed)
     # Determinant argument theta with K * theta <= 2 < pi for K = n // d.
-    target = min(0.35, 2.0 / max(1, state.shape.n // d))
+    target = min(0.35, 2.0 / max(1, n // d))
     power: int | None = None
     for _ in range(samples):
         u = haar_unitary(d, rng)
         det_arg = cmath.phase(complex(np.linalg.det(u)))
         u = u * cmath.exp(1j * (target - det_arg) / d)
-        image = apply_local(state, LocalOperator.unitary(u))
-        overlap = state.overlap(image)
+        op = LocalOperator.unitary(u)
+        overlap = complex(np.vdot(psi, _local_image(psi, op.matrix, n, d)))
         if abs(abs(overlap) - 1.0) > max(tol, 1e-10) * 10:
             raise PhaseFunctionError(
                 f"state is not phase-covariant: |overlap| = {abs(overlap):.12g}"

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import resource
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -448,7 +450,7 @@ class LocalOperator:
 
     ``basis-permutation`` and ``diagonal-phase`` operators act on sparse
     states by exact index relabeling and phase multiplication; the
-    general kind goes through a dense tensor contraction.
+    general kind goes through the dense vector, one GEMM per site.
     """
 
     matrix: np.ndarray
@@ -517,6 +519,46 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+def _memory_limit() -> int:
+    """Bytes this process may use: the soft address-space limit when set, else physical memory."""
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit == resource.RLIM_INFINITY:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return limit
+
+
+def _check_dense_memory(shape: SystemShape, per_entry: int = 64) -> None:
+    """Raise :class:`MemoryError` before forming a ``d**n`` image that cannot fit.
+
+    ``per_entry`` is the peak in bytes per entry of ``d**n``; the default
+    counts four complex vectors: the dense state, the two arrays of a
+    :func:`_local_image` step, and one temporary of the caller's
+    comparison.
+    """
+    need = per_entry * shape.total_dimension
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryError(
+            f"a dense image of n={shape.n} sites with d={shape.d} levels would take about "
+            f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
+        )
+
+
+def _local_image(vector: np.ndarray, matrix: np.ndarray, n: int, d: int) -> np.ndarray:
+    """``matrix`` applied to every site of a dense ``d**n`` vector.
+
+    One GEMM per site: the leading site is contracted and moved to the
+    end (``t <- t.reshape(d, -1).T @ matrix.T``, which is
+    ``(matrix @ t.reshape(d, -1)).T`` written contiguously), so after
+    ``n`` steps the sites are back in their original order.  Cost
+    ``n * d**(n+1)``; besides the input it holds two ``d**n`` arrays.
+    """
+    image = vector
+    for _ in range(n):
+        image = image.reshape(d, -1).T @ matrix.T
+    return image.reshape(-1)
+
+
 def apply_local(state: PureState, op: LocalOperator) -> PureState:
     """Apply the same one-site operator to every particle.
 
@@ -527,7 +569,12 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
 
     Basis permutations are applied by exact index relabeling and
     diagonal phases by exact per-index phase multiplication; other kinds
-    use a dense contraction of cost ``n * d**(n+1)``.
+    go through the dense ``d**n`` vector with one GEMM per site (cost
+    ``n * d**(n+1)``), and raise :class:`MemoryError` before allocating
+    when about ``16 (n + 5)`` bytes per entry of ``d**n`` would not fit:
+    the four vectors of the image, plus the int64 digit rows (and their
+    stacked copy) that :meth:`PureState.from_dense` builds for a full
+    support.
     """
     if op.d != state.shape.d:
         raise ValueError(f"operator acts on d={op.d}, state has d={state.shape.d}")
@@ -537,11 +584,9 @@ def apply_local(state: PureState, op: LocalOperator) -> PureState:
     if op.kind == _KIND_DIAGONAL:
         phases = np.diagonal(op.matrix)[state.digits].prod(axis=1)
         return PureState._from_arrays(state.shape, state.digits, state.values * phases)
-    n, d = state.shape.n, state.shape.d
-    tensor = state.to_dense().reshape((d,) * n)
-    for axis in range(n):
-        tensor = np.moveaxis(np.tensordot(op.matrix, tensor, axes=([1], [axis])), 0, axis)
-    return PureState.from_dense(state.shape, tensor.reshape(-1))
+    _check_dense_memory(state.shape, 16 * (state.shape.n + 5))
+    image = _local_image(state.to_dense(), op.matrix, state.shape.n, state.shape.d)
+    return PureState.from_dense(state.shape, image)
 
 
 def permute_particles(state: PureState, omega: Sequence[int]) -> PureState:

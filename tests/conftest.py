@@ -7,6 +7,7 @@ sparse implementations are checked against an independent computation.
 
 import itertools
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def random_balanced_state(shape, rng):
     return PureState(shape, dict(zip(indices, coeffs)), canonicalize=False)
 
 
+def tensordot_local_image(vector, matrix, n, d):
+    """``matrix`` on every site of a dense vector, one ``tensordot`` + ``moveaxis`` per site."""
+    tensor = np.asarray(vector).reshape((d,) * n)
+    for axis in range(n):
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.reshape(-1)
+
+
 def kron_chain(matrices):
     out = np.array([[1.0 + 0.0j]])
     for m in matrices:
@@ -80,6 +89,16 @@ def four_qubit():
 @pytest.fixture(scope="session")
 def ring6():
     return load_state(os.path.join(DATA_DIR, "graph_state_ring6.json"))
+
+
+@pytest.fixture
+def address_space_cap(monkeypatch):
+    """Make the memory guards read a given soft address-space limit; the process keeps its own."""
+
+    def cap(limit):
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+
+    return cap
 
 
 @pytest.fixture(scope="session")

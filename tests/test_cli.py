@@ -260,6 +260,26 @@ class TestErrorHandling:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "1 GiB" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["check-invariance", "verify-lemmas"])
+    def test_dense_image_too_large_exits_2_under_address_space_cap(self, command, tmp_path):
+        # 2**40 amplitudes: the guard names the shape before numpy is asked for 16 TiB.
+        path = str(tmp_path / "big.json")
+        save_state(
+            PureState(SystemShape(40, 2), {(0, 1) * 20: 2**-0.5, (1, 0) * 20: 2**-0.5}), path
+        )
+        flag = "--state" if command == "check-invariance" else "--basis"
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "singletlab.cli", command, flag, path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "n=40 sites with d=2 levels" in proc.stderr
+
     def test_artifact_too_large_exits_2_before_the_build(self):
         # The (12,3) basis alone fits in 1 GiB; its 462 x 34650 amplitudes
         # as artifact dicts do not, and that is known before the build.

@@ -138,6 +138,18 @@ class TestVerifyNumerically:
         with pytest.raises(CertificateViolationError):
             verify_certificate_numerically(corrupt, trials=5, seed=0)
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (6, 3)])
+    def test_werner_identity_catches_what_the_invariance_check_missed(self, n, d, monkeypatch):
+        """A balanced state meets the counting sum and the floor, but its pair
+        marginals are not Werner states."""
+        from singletlab import nogo
+
+        monkeypatch.setattr(nogo, "verify_invariance", lambda state, samples, seed: 0.0)
+        impostor = random_balanced_state(SystemShape(n, d), np.random.default_rng(13))
+        basis = SingletBasis(shape=SystemShape(n, d), tolerance=1e-9, states=(impostor,))
+        with pytest.raises(CertificateViolationError, match="trial 0: .* Werner form"):
+            verify_certificate_numerically(basis, trials=3, seed=0)
+
     def test_unbalanced_member_is_rejected(self, basis_cache):
         genuine = basis_cache(4, 2)
         stray = PureState(SystemShape(4, 2), {(0, 0, 0, 0): 1.0})

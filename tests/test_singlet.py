@@ -308,6 +308,37 @@ class TestPhaseFunction:
         with pytest.raises(ValueError):
             extract_phase_function(bell.scaled(0.5))
 
+    @pytest.mark.parametrize(
+        "n,d", [(4, 2), (6, 2), (8, 2), (10, 2), (12, 2), (6, 3), (9, 3), (8, 4)]
+    )
+    def test_ladder_first_member(self, n, d, basis_cache):
+        """Every ladder shape: det power K, and signum exactly when K is odd."""
+        copies = n // d
+        report = extract_phase_function(basis_cache(n, d)[0], samples=8)
+        assert report.det_power == copies
+        assert report.permutation_phase == ("signum" if copies % 2 else "trivial")
+        assert report.residual <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (6, 3), (8, 4)])
+    def test_rejects_label_symmetric_non_singlet(self, n, d):
+        """sum_l |l...l> passes every transposition with sign +1 but is not covariant."""
+        ghz = PureState(SystemShape(n, d), {(label,) * n: 1.0 for label in range(d)}).normalized()
+        with pytest.raises(PhaseFunctionError, match="not phase-covariant"):
+            extract_phase_function(ghz)
+
+
+class TestDenseMemoryGuard:
+    """verify_invariance and extract_phase_function refuse a dense vector that cannot fit."""
+
+    @pytest.mark.parametrize("measure", [verify_invariance, extract_phase_function])
+    def test_refuses_above_the_limit(self, measure, address_space_cap, four_qubit):
+        # Four complex vectors of 2**4 entries need 1024 bytes.
+        address_space_cap(1023)
+        with pytest.raises(MemoryError, match=r"n=4 sites with d=2 levels .* GiB"):
+            measure(four_qubit)
+        address_space_cap(1024)
+        measure(four_qubit)
+
 
 class TestSignRelation:
     def test_all_label_permutations_enumerates_group(self):

@@ -24,12 +24,14 @@ from singletlab import (
     superpose,
 )
 from singletlab.singlet import standard_traceless_generators
+from singletlab.states import _local_image
 
 from conftest import (
     dense_marginal,
     dense_uniform_deviation,
     kron_chain,
     random_dense_state,
+    tensordot_local_image,
 )
 
 
@@ -240,6 +242,43 @@ class TestApplyLocal:
         op = LocalOperator.diagonal_phase([0.7, 0.7])
         rotated = apply_local(bell, op)
         assert bell.overlap(rotated) == pytest.approx(np.exp(1.4j))
+
+
+class TestLocalImage:
+    SHAPES = [(n, d) for d in (1, 2, 3) for n in range(1, 8) if d**n <= 729]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_matches_tensordot_contraction(self, n, d):
+        rng = np.random.default_rng(31 + 10 * n + d)
+        vector = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        vector /= np.linalg.norm(vector)
+        gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # A non-unitary contraction, so every image entry stays below 1 in modulus.
+        for matrix in (haar_unitary(d, rng), gauss / np.linalg.norm(gauss, 2)):
+            got = _local_image(vector, matrix, n, d)
+            expected = tensordot_local_image(vector, matrix, n, d)
+            assert got.shape == (d**n,)
+            assert np.abs(got - expected).max() <= 1e-13
+
+
+class TestDenseMemoryGuard:
+    def test_dense_branch_refuses_before_allocating(self, address_space_cap):
+        state = PureState(SystemShape(6, 2), {(0, 1) * 3: 1.0})
+        # The image and its digit rows take 16 (n + 5) = 176 bytes per entry of 2**6.
+        address_space_cap(11263)
+        op = LocalOperator.unitary(haar_unitary(2, np.random.default_rng(41)))
+        with pytest.raises(MemoryError, match=r"n=6 sites with d=2 levels .* GiB"):
+            apply_local(state, op)
+        address_space_cap(11264)
+        assert apply_local(state, op).norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_branches_need_no_dense_vector(self, address_space_cap):
+        state = PureState(SystemShape(40, 2), {(0, 1) * 20: 1.0})
+        address_space_cap(1)
+        swapped = apply_local(state, LocalOperator.basis_permutation([1, 0]))
+        assert swapped.support() == [(1, 0) * 20]
+        phased = apply_local(state, LocalOperator.diagonal_phase([0.0, 0.1]))
+        assert phased.values[0] == pytest.approx(np.exp(2.0j))
 
 
 class TestPermuteParticles:
