@@ -7,10 +7,10 @@ in the swap expectations ``s_ab = c^H S_ab c``, with one precomputed
 ``r x r`` swap matrix ``S_ab[k, j] = <b_k|P_ab|b_j>`` per site pair
 (the basis amplitudes against a copy with sites ``a`` and ``b``
 exchanged, so no marginal is formed), and both the objective and its
-gradient come out of one matrix-vector product.  The search runs
-projected gradient descent on the unit sphere of complex coefficients,
-with Armijo backtracking from Barzilai-Borwein steps and seeded random
-restarts; each trial point costs one value-and-gradient evaluation.
+gradient come out of one matrix-vector product.  On the unit sphere it
+is the least-squares sum ``kappa d sum_ab (s_ab - 1/d)**2``, with
+Jacobian rows from the same product, so the search runs seeded restarts
+of Levenberg-Marquardt on the sphere of complex coefficients.
 Its purpose is to exhibit, not assume, that the best reachable deficit
 stays above the certificate floor.
 """
@@ -39,16 +39,17 @@ __all__ = [
     "result_to_dict",
 ]
 
-# Armijo backtracking parameters: step used when no Barzilai-Borwein
-# step is available, sufficient-decrease constant, contraction factor,
-# smallest step before giving up.
-_STEP0 = 1.0
-_ARMIJO = 1e-4
+# Damping mu = theta |J^T rho|: first theta, its factors on an accepted
+# and a rejected step, floor, and the ceiling where a restart stalls; the
+# least fraction of its predicted decrease an accepted step achieves; the
+# fraction of the largest eigenvalue of J J^T below which one is rounding.
+_THETA0 = 1e-2
 _SHRINK = 0.5
-_MIN_STEP = 1e-14
-# Range a Barzilai-Borwein step is clamped to.
-_BB_MIN = 1e-10
-_BB_MAX = 1e10
+_GROW = 4.0
+_THETA_MIN = 1e-12
+_THETA_MAX = 1e16
+_ACCEPT = 1e-4
+_RCOND = 1e-12
 
 #: Convergence threshold on the tangential gradient norm.
 DEFAULT_GTOL = 1e-8
@@ -150,80 +151,77 @@ def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return draw[:size] + 1j * draw[size:]
 
 
-def _bb_step(move: np.ndarray, change: np.ndarray, long: bool) -> float:
-    """Barzilai-Borwein step from the last move and its gradient change.
-
-    ``long`` picks the first (``|s|^2 / s.y``) form, otherwise the second
-    (``s.y / |y|^2``); without positive curvature along the move the
-    default step is used.  ``s.y`` is the real inner product
-    ``Re <s, y>`` of the complex coordinates.
-    """
-    curvature = float(np.vdot(move, change).real)
-    if curvature <= 0.0:
-        return _STEP0
-    if long:
-        step = float(np.vdot(move, move).real) / curvature
-    else:
-        step = curvature / float(np.vdot(change, change).real)
-    return min(max(step, _BB_MIN), _BB_MAX)
-
-
 def _descend(
     objective: PairDeficitObjective,
     start: np.ndarray,
     max_iters: int,
     gtol: float,
 ) -> tuple[np.ndarray, list[float], bool, int]:
-    """Projected gradient descent on the unit sphere from one start point.
+    """Levenberg-Marquardt descent on the unit sphere from one start point.
 
-    The iterate is the complex coefficient vector itself; the real
-    gradient in ``(Re c, Im c)`` is twice the Wirtinger gradient, read
-    back as a complex vector, with real inner product ``Re <a, b>``.
-    Each monotone Armijo backtrack starts from a Barzilai-Borwein step,
-    the two forms in turn, taken from the last accepted move and the
-    change in the tangent gradient it caused.  Every trial point is
-    evaluated once, value and gradient together, and the accepted one
-    carries both into the next iteration.
+    On the sphere ``D(c) = kappa d |rho|**2`` with ``rho_A = s_A - 1/d``;
+    the tangent Jacobian row of ``s_A`` is ``g_A = 2 (S_A c - s_A c)`` in
+    the real inner product ``Re <a, b>``.  Each step solves
+    ``(J J^T + mu I) y = rho`` in the eigenbasis of ``J J^T``, without the
+    eigenvalues at rounding level (the constant swap sum of an invariant
+    subspace puts the all-ones residual there), and moves to
+    ``c - J^T y``, normalized.  With ``mu = theta |J^T rho|`` the steps
+    turn Gauss-Newton as the gradient vanishes, along the flat directions
+    of a degenerate minimum too.  A step achieving ``_ACCEPT`` of its
+    predicted decrease is kept and ``theta`` shrinks; otherwise ``theta``
+    grows.  The decrease is summed from the changes in ``s_A``, read off
+    the move and the products ``S_A c`` at both ends, which keeps digits
+    the deficit loses near the minimum.  Each trial point costs one
+    evaluation; the accepted one carries its products forward.
     """
+    d = objective._d
+    weight = objective._kappa * d
     c = start / np.linalg.norm(start)
-    value, wirtinger = objective.value_and_gradient(c)
+    value, products, s, _ = objective._evaluate(c)
     trajectory = [value]
     converged = False
-    iterations = 0
-    previous: tuple[np.ndarray, np.ndarray] | None = None
+    theta = _THETA0
     for _ in range(max_iters):
-        gradient = 2.0 * wirtinger
-        tangent = gradient - np.vdot(c, gradient).real * c
-        gnorm = float(np.linalg.norm(tangent))
+        residual = s - 1.0 / d
+        rows = 2.0 * (products - s[:, None] * c)
+        jt_residual = residual @ rows
+        jt_norm = float(np.linalg.norm(jt_residual))
+        gnorm = 2.0 * weight * jt_norm
         if gnorm <= gtol:
             converged = True
             break
-        if previous is None:
-            step = _STEP0
-        else:
-            step = _bb_step(c - previous[0], tangent - previous[1], iterations % 2 == 1)
-        while step >= _MIN_STEP:
-            # Near the valley floor the Armijo margin can underflow
-            # below one ulp of ``value``; flooring it at a few ulps
-            # keeps every accepted step a representable decrease, so
-            # the iterate can neither drift at constant value nor creep
-            # one ulp at a time until the iteration cap.
-            margin = max(_ARMIJO * step * gnorm**2, 4.0 * np.spacing(value))
-            candidate = c - step * tangent
+        lam, vecs = np.linalg.eigh((rows.conj() @ rows.T).real)
+        keep = lam > _RCOND * lam[-1]
+        lam, vecs = lam[keep], vecs[:, keep]
+        moves = vecs.T @ rows
+        # u_i . rho, read as <J^T u_i, J^T rho> / lambda_i so that the
+        # constant part of rho, which J^T maps to 0, cannot leak in.
+        coords = (moves.conj() @ jt_residual).real / lam
+        while theta <= _THETA_MAX:
+            mu = theta * jt_norm
+            damped = lam + mu
+            # |rho|**2 - |rho + J delta|**2 at delta = -J^T y, term by term.
+            predicted = weight * float(np.sum(coords**2 * lam * (lam + 2.0 * mu) / damped**2))
+            candidate = c - (coords / damped) @ moves
             candidate /= np.linalg.norm(candidate)
-            cand_value, cand_wirtinger = objective.value_and_gradient(candidate)
-            if cand_value <= value - margin:
+            _, cand_products, cand_s, _ = objective._evaluate(candidate)
+            # s_A' - s_A = Re <c' - c, S_A (c' + c)>, less s_A times the
+            # change in |c|**2; c' - c is exact where the move is small.
+            diff = candidate - c
+            change = ((products + cand_products) @ diff.conj()).real
+            change -= s * float(np.vdot(diff, candidate + c).real)
+            decrease = -weight * float(change @ (2.0 * residual + change))
+            if decrease >= _ACCEPT * predicted:
+                theta = max(theta * _SHRINK, _THETA_MIN)
                 break
-            step *= _SHRINK
+            theta *= _GROW
         else:
-            # No productive step left at this scale; treat as stationary.
+            # No productive step left at any damping; treat as stationary.
             converged = gnorm <= max(gtol, 1e-6)
             break
-        previous = (c, tangent)
-        c, value, wirtinger = candidate, cand_value, cand_wirtinger
-        iterations += 1
+        c, value, products, s = candidate, value - decrease, cand_products, cand_s
         trajectory.append(value)
-    return c, trajectory, converged, iterations
+    return c, trajectory, converged, len(trajectory) - 1
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,8 @@ class OptimizationResult:
     ``trajectory`` holds the accepted objective values of the winning
     restart (non-increasing by construction); ``restart_deficits`` the
     final value of every restart, which for these objectives should
-    agree to high precision.
+    agree to high precision, and ``restart_iterations`` the accepted
+    steps each one took.
     """
 
     coefficients: tuple[complex, ...]
@@ -245,6 +244,7 @@ class OptimizationResult:
     seed: int
     trajectory: tuple[float, ...]
     restart_deficits: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
 
 
 def minimize_deficit(
@@ -256,7 +256,7 @@ def minimize_deficit(
 ) -> OptimizationResult:
     """Search the unit coefficient sphere for the least pair deficit.
 
-    Runs ``restarts`` seeded projected-gradient descents and returns the
+    Runs ``restarts`` seeded Levenberg-Marquardt descents and returns the
     best endpoint.  A one-dimensional basis needs no search: up to
     phase there is only one state, so its deficit is returned directly
     with zero iterations.  The reported deficit is replayed with
@@ -268,25 +268,22 @@ def minimize_deficit(
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not np.isfinite(gtol) or gtol < 0.0:
+        raise ValueError(f"gtol must be finite and >= 0, got {gtol}")
     objective = PairDeficitObjective(basis)
     certificate = certify(basis.shape)
     floor = float(certificate.deficit_floor) if certificate.deficit_floor is not None else 0.0
     if basis.dimension == 1:
         deficit = objective.value(np.ones(1, dtype=complex))
-        c, trajectory, converged, iterations = np.ones(1, dtype=complex), [deficit], True, 0
-        finals = [deficit]
+        outcomes = [(np.ones(1, dtype=complex), [deficit], True, 0)]
     else:
         rng = np.random.default_rng(seed)
-        best: tuple[np.ndarray, list[float], bool, int] | None = None
-        finals = []
-        for _ in range(restarts):
-            start = _complex_normal(rng, basis.dimension)
-            outcome = _descend(objective, start, max_iters, gtol)
-            finals.append(outcome[1][-1])
-            if best is None or outcome[1][-1] < best[1][-1]:
-                best = outcome
-        assert best is not None
-        c, trajectory, converged, iterations = best
+        outcomes = [
+            _descend(objective, _complex_normal(rng, basis.dimension), max_iters, gtol)
+            for _ in range(restarts)
+        ]
+    # The first restart with the least final value wins.
+    c, trajectory, converged, iterations = min(outcomes, key=lambda outcome: outcome[1][-1])
     coefficients = c / np.linalg.norm(c)
     replay = pair_deficit(basis.combine(coefficients).normalized())
     if abs(replay - trajectory[-1]) > DEFAULT_TOL:
@@ -303,7 +300,8 @@ def minimize_deficit(
         restarts=restarts,
         seed=seed,
         trajectory=tuple(trajectory),
-        restart_deficits=tuple(finals),
+        restart_deficits=tuple(outcome[1][-1] for outcome in outcomes),
+        restart_iterations=tuple(outcome[3] for outcome in outcomes),
     )
 
 
@@ -366,6 +364,7 @@ def result_to_dict(result: OptimizationResult, basis: SingletBasis) -> dict:
         "floor_decimal": result.floor,
         "coefficients": [{"re": z.real, "im": z.imag} for z in result.coefficients],
         "restart_deficits": list(result.restart_deficits),
+        "restart_iterations": list(result.restart_iterations),
         "trajectory": list(result.trajectory),
         "state": state_to_dict(state),
     }

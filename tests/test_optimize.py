@@ -333,3 +333,90 @@ def test_result_serialization(basis_cache):
     assert payload["floor_decimal"] == pytest.approx(1 / 12)
     assert len(payload["coefficients"]) == 2
     assert payload["state"]["n"] == 4
+
+
+class TestLeastSquaresDescent:
+    # Ladder shapes with d >= 2 up to the size of (10,2).
+    SHAPES = [(4, 2), (6, 2), (8, 2), (10, 2), (6, 3), (9, 3), (8, 4)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_value_is_the_sum_of_squared_swap_residuals(self, n, d, basis_cache):
+        # On the unit sphere D(c) = kappa d sum_A (s_A - 1/d)**2; each s_A
+        # is read here as the overlap of the state with its site-swapped copy.
+        basis = basis_cache(n, d)
+        objective = PairDeficitObjective(basis)
+        kappa = 1.0 / (d * (d * d - 1))
+        rng = np.random.default_rng(100 + n * d)
+        for _ in range(3):
+            c = random_unit_coefficients(basis.dimension, rng)
+            psi = basis.combine(c)
+            residuals = []
+            for a, b in combinations(range(n), 2):
+                order = list(range(n))
+                order[a], order[b] = b, a
+                residuals.append(psi.overlap(permute_particles(psi, order)).real - 1.0 / d)
+            expected = kappa * d * float(np.sum(np.square(residuals)))
+            assert objective.value(c) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_jacobian_rows_match_central_differences(self, n, d, basis_cache):
+        # g_A = 2 (S_A c - s_A c) is the derivative of s_A along any
+        # tangent direction, read with the real inner product Re <g_A, v>.
+        objective = PairDeficitObjective(basis_cache(n, d))
+        r = objective.dimension
+        rng = np.random.default_rng(110 + n * d)
+        c = random_unit_coefficients(r, rng)
+        _, products, s, _ = objective._evaluate(c)
+        rows = 2.0 * (products - s[:, None] * c)
+        step = 1e-3
+        for _ in range(4):
+            direction = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            direction -= np.vdot(c, direction).real * c
+            direction /= np.linalg.norm(direction)
+            forward = objective._evaluate(c + step * direction)[2]
+            backward = objective._evaluate(c - step * direction)[2]
+            numeric = (forward - backward) / (2.0 * step)
+            assert_allclose((rows.conj() @ direction).real, numeric, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (8, 4)])
+    def test_every_restart_converges_in_tens_of_iterations(self, n, d, basis_cache, monkeypatch):
+        # First-order descent spent up to 7 223 iterations of one (8,2)
+        # restart (seed 2) and 4 450 of one (8,4) restart in a sublinear
+        # tail near the degenerate minimum.
+        basis = basis_cache(n, d)
+        objective = PairDeficitObjective(basis)
+        iterations = []
+        descend = optimize._descend
+
+        def recorded_descend(*args):
+            outcome = descend(*args)
+            c, _, converged, steps = outcome
+            _, grad = objective.value_and_gradient(c)
+            tangent = 2.0 * (grad - np.vdot(c, grad).real * c)
+            assert converged and np.linalg.norm(tangent) <= optimize.DEFAULT_GTOL
+            iterations.append(steps)
+            return outcome
+
+        monkeypatch.setattr(optimize, "_descend", recorded_descend)
+        bound = float(werner_jensen_bound(n, d))
+        for seed in range(10):
+            result = minimize_deficit(basis, restarts=16, seed=seed)
+            assert all(abs(final - bound) <= 1e-12 for final in result.restart_deficits)
+            assert list(result.restart_iterations) == iterations[-16:]
+        assert len(iterations) == 160 and max(iterations) <= 100
+
+    def test_restart_iterations_align_with_restart_deficits(self, basis_cache):
+        basis = basis_cache(6, 3)
+        result = minimize_deficit(basis, restarts=5, seed=4)
+        assert len(result.restart_iterations) == 5 == len(result.restart_deficits)
+        winner = result.restart_deficits.index(min(result.restart_deficits))
+        assert result.restart_iterations[winner] == result.iterations
+        assert result_to_dict(result, basis)["restart_iterations"] == list(result.restart_iterations)
+        assert minimize_deficit(basis_cache(2, 2), restarts=3).restart_iterations == (0,)
+
+    @pytest.mark.parametrize("gtol", [-1e-8, float("nan"), float("inf")])
+    def test_rejects_a_gtol_that_is_negative_or_not_finite(self, gtol, basis_cache):
+        # A NaN gtol never passes gnorm <= gtol, so every restart used to
+        # run to a stall or the cap and come back not converged.
+        with pytest.raises(ValueError, match="gtol"):
+            minimize_deficit(basis_cache(4, 2), gtol=gtol)
