@@ -10,18 +10,19 @@ stdlib encoder would otherwise coerce to strings.
 
 Basis and state files hold one dict per amplitude in their dict forms,
 so they are written without building those dicts.  A document value may
-be :class:`Deferred`: :func:`amplitude_lists` encodes amplitude lists
-straight from the digit and amplitude arrays, and :func:`streamed`
-writes a list of documents one member at a time.  :func:`dump` checks
-and encodes every other value before it opens the file, and writes the
-deferred text only as it reaches it.  The bytes are those :func:`dumps`
-gives for the dict forms.
+be :class:`Deferred`: :func:`amplitude_lists` encodes the amplitude list
+of each row of an amplitude matrix (a basis, or one state) from the
+index rows the states share, and :func:`streamed` writes a list of
+documents one member at a time.  :func:`dump` checks and encodes every
+other value before it opens the file, and writes the deferred text only
+as it reaches it.  The bytes are those :func:`dumps` gives for the dict
+forms.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from typing import Any
 
@@ -68,31 +69,26 @@ class Deferred:
         return iter(self._pieces())
 
 
-def amplitude_lists(
-    rows: np.ndarray, positions: Sequence[np.ndarray], values: Sequence[np.ndarray]
-) -> list[Deferred]:
-    """The ``amplitudes`` value of each of several states, encoded when written.
+def amplitude_lists(rows: np.ndarray, amplitudes: np.ndarray) -> list[Deferred]:
+    """The ``amplitudes`` value of each row of an amplitude matrix, encoded when written.
 
-    ``rows`` holds distinct index rows.  State ``k`` stores the index
-    ``rows[positions[k][i]]`` with amplitude ``values[k][i]``.  Each row's
-    text is made once and shared by every state that stores it.  A
-    non-finite amplitude raises the stdlib encoder's ``ValueError`` here,
-    before any file is opened.
+    ``rows`` holds distinct index rows, and state ``k`` stores the index
+    ``rows[i]`` with amplitude ``amplitudes[k, i]`` wherever that is
+    nonzero.  Each row's text is made once and shared by every state
+    that stores it.  A non-finite amplitude raises the stdlib encoder's
+    ``ValueError`` here, before any file is opened.
     """
-    for vector in values:
-        bad = vector[~np.isfinite(vector)]
-        if bad.size:
-            # The stdlib encoder raises its own error on the first one.
-            json.dumps([float(bad[0].real), float(bad[0].imag)], allow_nan=False)
+    bad = amplitudes[~np.isfinite(amplitudes)]
+    if bad.size:
+        # The stdlib encoder raises its own error on the first one.
+        json.dumps([float(bad[0].real), float(bad[0].imag)], allow_nan=False)
     table = np.array([str(row) for row in rows.tolist()], dtype=object)
-    return [
-        Deferred(partial(_amplitude_list, table[where], vector))
-        for where, vector in zip(positions, values)
-    ]
+    return [Deferred(partial(_amplitude_list, table, vector)) for vector in amplitudes]
 
 
-def _amplitude_list(index: np.ndarray, values: np.ndarray) -> Iterator[str]:
-    entries = zip(index.tolist(), values.real.tolist(), values.imag.tolist())
+def _amplitude_list(table: np.ndarray, vector: np.ndarray) -> Iterator[str]:
+    kept = np.flatnonzero(vector)
+    entries = zip(table[kept].tolist(), vector.real[kept].tolist(), vector.imag[kept].tolist())
     yield "[" + ", ".join(map(_ENTRY.__mod__, entries)) + "]"
 
 

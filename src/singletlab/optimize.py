@@ -25,7 +25,7 @@ import numpy as np
 
 from .nogo import certify
 from .singlet import SingletBasis
-from .states import DEFAULT_TOL, _weights, joint_amplitudes, state_to_dict
+from .states import DEFAULT_TOL, _weights, state_to_dict
 # The objective calls no marginal routine; perfbench's tracer wraps
 # cross_marginal through this binding.
 from .states import cross_marginal  # noqa: F401
@@ -58,8 +58,8 @@ DEFAULT_GTOL = 1e-8
 class PairDeficitObjective:
     """Pair deficit as a quadratic in the two-site swap expectations.
 
-    ``B`` holds the members' amplitudes over their joint support, one
-    row each.  The swap ``P_A`` of a site pair ``A = (a, b)`` permutes
+    ``B`` is the basis amplitude matrix: one row per member over the
+    shared support.  The swap ``P_A`` of a site pair ``A = (a, b)`` permutes
     multi-indices, so with ``B_A`` the columns of ``B`` read at the
     images ``S_A = conj(B) B_A^T`` is ``S_A[k, j] = <b_k|P_A|b_j>``; the
     ``P`` matrices are stacked into one ``(P r) x r`` array.  The marginal
@@ -89,9 +89,8 @@ class PairDeficitObjective:
         if d**n >= 2**63:
             raise ValueError(f"multi-index codes overflow int64 at shape {shape}")
         pairs = list(combinations(range(n), 2))
-        digits, amps = joint_amplitudes(basis.states)
         # Digits are stored unsigned; differences need a signed type.
-        digits = digits.astype(np.int64)
+        digits = basis.support.astype(np.int64)
         weights = _weights(d, n)
         codes = digits @ weights
         swaps = np.empty((len(pairs), r, r), dtype=complex)
@@ -99,9 +98,9 @@ class PairDeficitObjective:
             # Base-d code of each support row with digits a and b exchanged.
             image = codes + (digits[:, a] - digits[:, b]) * (weights[b] - weights[a])
             rows = np.minimum(np.searchsorted(codes, image), codes.size - 1)
-            # An image outside the joint support has amplitude 0 in every member.
-            moved = np.where(codes[rows] == image, amps[:, rows], 0.0)
-            swap[...] = amps.conj() @ moved.T
+            # An image outside the support has amplitude 0 in every member.
+            moved = np.where(codes[rows] == image, basis.amplitudes[:, rows], 0.0)
+            swap[...] = basis.amplitudes.conj() @ moved.T
         self._swaps = swaps.reshape(len(pairs) * r, r)
         self._pairs = len(pairs)
         self._d = d

@@ -8,7 +8,8 @@ multi-indices where every label appears exactly ``n // d`` times.  The
 subspace is spanned by products of ``d``-site determinant states, one
 per standard Young tableau of the ``d x n // d`` rectangle; the basis
 here is built from those integer vectors exactly, with no numerical
-kernel computation.
+kernel computation, and held as one matrix: every member's amplitudes
+on the shared balanced support.
 
 The phase picked up under a one-site unitary ``U`` is measured, not
 assumed: label permutations are applied exactly and must return the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -35,8 +37,9 @@ from .states import (
     SystemShape,
     _check_dense_memory,
     _local_image,
+    _canonical_phase,
     _memory_limit,
-    _state_documents,
+    _state_document,
     _weights,
     apply_local,
     enumerate_support,
@@ -44,7 +47,8 @@ from .states import (
     permutation_sign,
     state_from_dict,
     state_to_dict,
-    superpose,
+    # Unused here; perfbench's tracer wraps superpose through this binding.
+    superpose,  # noqa: F401
 )
 
 __all__ = [
@@ -138,44 +142,75 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SingletBasis:
-    """Deterministic orthonormal basis of the invariant subspace."""
+    """Deterministic orthonormal basis of the invariant subspace.
+
+    The members share one support: the sorted digit rows of
+    :attr:`support`, on which row ``k`` of :attr:`amplitudes` holds
+    member ``k`` (0 where it stores nothing); both are read-only.  The
+    constructor aligns ``states`` on their joint support.  Members are
+    :class:`PureState` views made on demand.
+    """
 
     shape: SystemShape
     tolerance: float
-    states: tuple[PureState, ...]
+    support: np.ndarray
+    amplitudes: np.ndarray
+
+    def __init__(self, shape: SystemShape, tolerance: float, states: Sequence[PureState]) -> None:
+        for state in states:
+            if state.shape != shape:
+                raise ValueError(f"member shape {state.shape} differs from basis shape {shape}")
+        if states:
+            support, amplitudes = joint_amplitudes(states)
+        else:
+            support, amplitudes = np.zeros((0, shape.n), np.uint8), np.zeros((0, 0), complex)
+        self._assign(shape, tolerance, support, amplitudes)
+
+    @classmethod
+    def _from_arrays(cls, shape, tolerance, support, amplitudes) -> "SingletBasis":
+        """Construct from sorted distinct support rows and the aligned member rows."""
+        basis = cls.__new__(cls)
+        basis._assign(shape, tolerance, support, amplitudes)
+        return basis
+
+    def _assign(self, shape, tolerance, support, amplitudes) -> None:
+        support.setflags(write=False)
+        amplitudes.setflags(write=False)
+        # The dataclass is frozen; its fields are set once, here.
+        vars(self).update(shape=shape, tolerance=tolerance, support=support, amplitudes=amplitudes)
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return self.amplitudes.shape[0]
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
+        return self.dimension
 
     def __getitem__(self, item: int) -> PureState:
-        return self.states[item]
+        vector = self.amplitudes[operator.index(item)]
+        kept = np.flatnonzero(vector)
+        return PureState._from_arrays(self.shape, self.support[kept], vector[kept])
+
+    @property
+    def states(self) -> tuple[PureState, ...]:
+        """Every member as a :class:`PureState` view, in order."""
+        return tuple(self)
 
     def gram(self) -> np.ndarray:
         """Matrix of pairwise overlaps ``<b_j | b_k>``."""
-        if not self.states:
-            return np.zeros((0, 0), dtype=complex)
-        _, amps = joint_amplitudes(self.states)
-        return amps.conj() @ amps.T
+        return self.amplitudes.conj() @ self.amplitudes.T
 
     def combine(self, coefficients: Sequence[complex]) -> PureState:
         """Linear combination of basis members."""
         if self.dimension == 0:
             raise ValueError("basis is empty")
-        return superpose(coefficients, self.states)
+        total = np.asarray(coefficients, dtype=complex) @ self.amplitudes
+        return PureState._from_arrays(self.shape, self.support, total, canonicalize=True)
 
     def random_state(self, rng: np.random.Generator) -> PureState:
         """One normalized state with complex Gaussian coefficients."""
-        if self.dimension == 0:
-            raise ValueError("basis is empty")
         r = self.dimension
         coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         coeffs /= np.linalg.norm(coeffs)
@@ -191,10 +226,12 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     """Raise :class:`MemoryError` before building a basis that cannot fit.
 
     Counts the support list (a tuple and a list slot per multi-index,
-    plus its int64 array), three dense ``dimension x support`` float
-    arrays and the member states (a complex amplitude and ``n`` one-byte
-    digits per entry), against the soft address-space limit when one is
-    set and physical memory otherwise.  With ``document`` it also counts
+    plus its int64 array) and four floats per ``dimension x support``
+    entry: the echelon rows, ``Q`` and LAPACK's working copies during
+    the QR, more than ``Q`` and the one complex amplitude matrix kept
+    after it (the basis holds no per-member digit rows), against the
+    soft address-space limit when one is set and physical memory
+    otherwise.  With ``document`` it also counts
     the artifact of :func:`basis_to_dict` and its JSON text: a dict, an
     ``n``-entry index list and two floats per amplitude, about
     ``300 + 8 n`` bytes, and up to 200 bytes more while encoding.
@@ -207,7 +244,7 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
         return
     dimension = expected_dimension(shape)
     support = SupportProfile.uniform(shape).size()
-    per_entry = 3 * 8 + 16 + shape.n + (500 + 8 * shape.n if document else 0)
+    per_entry = 4 * 8 + (500 + 8 * shape.n if document else 0)
     need = support * (48 + 16 * shape.n) + dimension * support * per_entry
     limit = _memory_limit()
     if need > limit:
@@ -288,14 +325,16 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
         raise SubspaceRankError(
             f"Gram-Schmidt pivot ratio {ratios.min():.3g} is below tol {tol:g} at shape {shape}"
         )
-    states = []
-    for vec in ortho.T:
-        kept = np.abs(vec) > _PRUNE_REL * np.abs(vec).max()
+    del echelon
+    # Every balanced word lies in some column-determinant product, so no
+    # support column is zero in every member.
+    amplitudes = np.zeros((dim, len(support)), dtype=complex)
+    for row, vec in zip(amplitudes, ortho.T):
+        kept = np.flatnonzero(np.abs(vec) > _PRUNE_REL * np.abs(vec).max())
         values = vec[kept] / np.linalg.norm(vec[kept])
-        states.append(
-            PureState._from_arrays(shape, support[kept], values.astype(complex), canonicalize=True)
-        )
-    return SingletBasis(shape=shape, tolerance=tol, states=tuple(states))
+        row[kept] = _canonical_phase(values.astype(complex))
+    digits = support.astype(np.min_scalar_type(d - 1))
+    return SingletBasis._from_arrays(shape, tol, digits, amplitudes)
 
 
 def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> float:
@@ -476,8 +515,7 @@ def measure_phase(basis: SingletBasis, seed: int = 0) -> str | None:
     """
     if not basis.dimension:
         return None
-    first = basis.states[0]
-    return extract_phase_function(first, samples=_PHASE_SAMPLES, seed=seed).permutation_phase
+    return extract_phase_function(basis[0], samples=_PHASE_SAMPLES, seed=seed).permutation_phase
 
 
 def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -> dict:
@@ -510,28 +548,25 @@ def basis_from_dict(obj: dict) -> SingletBasis:
         tol = float(obj["tolerance"])
         states = tuple(state_from_dict(entry) for entry in obj["states"])
         dimension = int(obj["dimension"])
+        if dimension != len(states):
+            raise ValueError(f"dimension {dimension} but {len(states)} states")
+        return SingletBasis(shape=shape, tolerance=tol, states=states)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
-    if dimension != len(states):
-        raise ValueError(
-            f"malformed basis document: dimension {dimension} but {len(states)} states"
-        )
-    for state in states:
-        if state.shape != shape:
-            raise ValueError("malformed basis document: member shape mismatch")
-    return SingletBasis(shape=shape, tolerance=tol, states=states)
 
 
 def save_basis(basis: SingletBasis, path: str, seed: int = 0, phase: str | None = None) -> None:
     """Write the file whose text is ``_json.dumps(basis_to_dict(basis, seed))``.
 
-    Members are encoded from their arrays and written one at a time.
+    Members are encoded from the support and amplitude matrix, with each
+    index row's text made once, and written one at a time.
     ``phase`` is the :func:`measure_phase` of the basis when the caller
     has it already; otherwise it is measured here.
     """
     if phase is None:
         phase = measure_phase(basis, seed=seed)
-    members = _json.streamed(_state_documents(basis.states))
+    lists = _json.amplitude_lists(basis.support, basis.amplitudes)
+    members = _json.streamed(_state_document(basis.shape, amplitudes) for amplitudes in lists)
     _json.dump(_basis_document(basis, seed, phase, members), path)
 
 

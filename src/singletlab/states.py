@@ -33,6 +33,7 @@ import os
 import resource
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -248,6 +249,19 @@ def _common_shape(states: Sequence["PureState"]) -> SystemShape:
     return shape
 
 
+def _canonical_phase(values: np.ndarray) -> np.ndarray:
+    """``values`` rephased so that the first is real and positive."""
+    if not values.size or (values[0].imag == 0.0 and values[0].real > 0.0):
+        return values
+    lead = complex(values[0])
+    phase = lead / abs(lead)
+    # Python's complex division, not numpy's multiply-by-reciprocal,
+    # so canonical amplitudes keep the same bits in written files.
+    values = np.array([value / phase for value in values.tolist()])
+    values[0] = abs(lead)
+    return values
+
+
 class PureState:
     """Immutable pure state.
 
@@ -298,14 +312,7 @@ class PureState:
             raise ValueError(f"duplicate multi-index {tuple(digits[repeated].tolist())}")
         first = first[values[first] != 0.0]
         digits = digits[first].astype(np.min_scalar_type(shape.d - 1))
-        values = values[first]
-        if canonicalize and values.size and not (values[0].imag == 0.0 and values[0].real > 0.0):
-            lead = complex(values[0])
-            phase = lead / abs(lead)
-            # Python's complex division, not numpy's multiply-by-reciprocal,
-            # so canonical amplitudes keep the same bits in written files.
-            values = np.array([value / phase for value in values.tolist()])
-            values[0] = abs(lead)
+        values = _canonical_phase(values[first]) if canonicalize else values[first]
         digits.setflags(write=False)
         values.setflags(write=False)
         self._shape = shape
@@ -766,7 +773,8 @@ def partial_trace(
 # --- JSON interface -------------------------------------------------------
 #
 # {"n": ..., "d": ..., "amplitudes": [{"index": [...], "re": ..., "im": ...}, ...]}
-# with only nonzero amplitudes, sorted lexicographically by index.
+# with only nonzero amplitudes, sorted lexicographically by index.  Index
+# entries are JSON integers and "re" and "im" finite JSON numbers.
 
 
 def _state_document(shape: SystemShape, amplitudes) -> dict:
@@ -784,41 +792,37 @@ def state_to_dict(state: PureState) -> dict:
     )
 
 
-def _state_documents(states: Sequence[PureState]) -> list[dict]:
-    """Documents of same-shape states for :func:`_json.dump`, with no per-amplitude dicts.
-
-    Their amplitude lists are encoded only when written, from one table
-    of the distinct index rows.  Non-finite amplitudes raise ``ValueError``.
-    """
-    if not states:
-        return []
-    digits = np.concatenate([state.digits for state in states])
-    inverse, first = _group_rows(digits, states[0].shape.d)
-    offsets = np.cumsum([state.values.size for state in states])[:-1]
-    lists = _json.amplitude_lists(
-        digits[first], np.split(inverse, offsets), [state.values for state in states]
-    )
-    return [_state_document(state.shape, amplitudes) for state, amplitudes in zip(states, lists)]
-
-
 def state_from_dict(obj: Mapping) -> PureState:
     """Parse the JSON-dict form back into a PureState.
 
     Stored amplitudes are taken verbatim, with no phase
-    canonicalization, so that files round-trip exactly.
+    canonicalization, so that files round-trip exactly.  Index entries
+    that are not integers and amplitude parts that are not finite
+    numbers are rejected, not converted.
     """
     try:
         shape = SystemShape(int(obj["n"]), int(obj["d"]))
         entries = obj["amplitudes"]
-        digits = _index_matrix(shape, [[int(i) for i in entry["index"]] for entry in entries])
-        values = np.array([complex(float(e["re"]), float(e["im"])) for e in entries], dtype=complex)
-        return PureState._from_arrays(shape, digits, values)
-    except (KeyError, TypeError, ValueError) as exc:
+        indices = [entry["index"] for entry in entries]
+        parts = [(entry["re"], entry["im"]) for entry in entries]
+        # Exact types, so that no bool passes for an int.
+        if set(map(type, chain.from_iterable(indices))) - {int}:
+            raise TypeError("multi-index entries must be integers")
+        if set(map(type, chain.from_iterable(parts))) - {int, float}:
+            raise TypeError("amplitudes must be numbers")
+        digits = _index_matrix(shape, indices)
+        pairs = np.array(parts, dtype=float).reshape(-1, 2)
+        if not np.isfinite(pairs).all():
+            raise ValueError("amplitudes must be finite")
+        # (re, im) rows read as complex keep every bit, signed zeros included.
+        return PureState._from_arrays(shape, digits, pairs.view(complex).ravel())
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
 
 
 def save_state(state: PureState, path: str) -> None:
-    _json.dump(_state_documents([state])[0], path)
+    (amplitudes,) = _json.amplitude_lists(state.digits, state.values[None, :])
+    _json.dump(_state_document(state.shape, amplitudes), path)
 
 
 def load_state(path: str) -> PureState:

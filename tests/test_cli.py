@@ -310,3 +310,38 @@ class TestOneLevelShape:
         assert "best deficit: 0\n" in text and "certificate floor: 0\n" in text
         payload = _json.load(out)
         assert payload["deficit"] == 0.0 and payload["floor"] == {"num": 0, "den": 1}
+
+
+class TestMalformedNumbers:
+    """Index entries that are not integers and amplitudes that are not finite
+    numbers are parse errors (exit 2), not values to convert."""
+
+    def test_float_indices_are_not_truncated(self, tmp_path, capsys):
+        # Truncated, these would be the Bell singlet's (0, 1) and (1, 0).
+        entries = [([0.9, 1.7], 2**-0.5), ([1.2, 0.3], -(2**-0.5))]
+        payload = {
+            "n": 2,
+            "d": 2,
+            "amplitudes": [{"index": index, "re": re, "im": 0.0} for index, re in entries],
+        }
+        path = str(tmp_path / "float_index.json")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        assert main(["check-invariance", "--state", path]) == 2
+        assert "malformed state document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    @pytest.mark.parametrize(
+        "part, text",
+        [("re", '"-0.7"'), ("im", "false"), ("re", "NaN"), ("im", "Infinity"), ("re", "1e400")],
+    )
+    def test_basis_amplitude_must_be_a_finite_number(
+        self, basis42_file, tmp_path, capsys, command, part, text
+    ):
+        payload = json.loads(open(basis42_file).read())
+        payload["states"][1]["amplitudes"][2][part] = "@"
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as handle:
+            handle.write(json.dumps(payload).replace('"@"', text))
+        assert main([command, "--basis", bad, "--seed", "1"]) == 2
+        assert "malformed state document" in capsys.readouterr().err

@@ -152,3 +152,51 @@ class TestBasisFiles:
     def test_phase_metadata_of_a_zero_tolerance_basis(self):
         basis = build_singlet_basis(SystemShape(6, 3), tol=0.0)
         assert basis_to_dict(basis)["permutation_phase"] == "trivial"
+
+
+class TestStrictStateParsing:
+    """Index entries must be JSON integers and amplitude parts finite JSON numbers."""
+
+    @staticmethod
+    def _document(index=(0, 1), re=1.0, im=0.0):
+        return {"n": 2, "d": 2, "amplitudes": [{"index": list(index), "re": re, "im": im}]}
+
+    @pytest.mark.parametrize(
+        "index", [(0.9, 1.7), (0.0, 1.0), (True, 0), ("0", 1), (0, None), (0, 2**70)], ids=repr
+    )
+    def test_rejects_index_entries_that_are_not_integers(self, index):
+        with pytest.raises(ValueError, match="malformed state document"):
+            state_from_dict(self._document(index=index))
+
+    @pytest.mark.parametrize(
+        "part, value",
+        [
+            ("re", "-0.7"),
+            ("im", False),
+            ("re", None),
+            ("re", float("nan")),
+            ("im", float("inf")),
+            ("re", -float("inf")),
+            ("re", 10**400),
+        ],
+        ids=["str", "bool", "null", "nan", "inf", "-inf", "10**400"],
+    )
+    def test_rejects_amplitudes_that_are_not_finite_numbers(self, part, value):
+        with pytest.raises(ValueError, match="malformed state document"):
+            state_from_dict(self._document(**{part: value}))
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_rejects_non_finite_json_tokens(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        entry = '{"index": [0, 1], "re": %s, "im": 0}' % text
+        path.write_text('{"n": 2, "d": 2, "amplitudes": [%s]}' % entry)
+        with pytest.raises(ValueError, match="malformed state document"):
+            load_state(str(path))
+
+    def test_integer_parts_load_as_floats_and_signed_zeros_survive(self):
+        state = state_from_dict(self._document(re=1, im=0))
+        assert state.values.tolist() == [1 + 0j]
+        state = state_from_dict(self._document(re=-0.5, im=-0.0))
+        assert struct.pack("<dd", state.values[0].real, state.values[0].imag) == struct.pack(
+            "<dd", -0.5, -0.0
+        )
