@@ -24,7 +24,17 @@ from math import comb
 import numpy as np
 
 from .singlet import SingletBasis, verify_invariance
-from .states import DEFAULT_TOL, MarginalMatrix, PureState, SystemShape, partial_trace
+from .states import (
+    DEFAULT_TOL,
+    PureState,
+    SystemShape,
+    _marginal_factors,
+    _memory_limit,
+    _require_normalized,
+    _uniform_deviations,
+    joint_amplitudes,
+    partial_trace,
+)
 # The floor bounds pair_deficit; perfbench's tracer wraps it through this binding.
 from .uniformity import pair_deficit  # noqa: F401
 
@@ -55,34 +65,82 @@ def counting_sum(state: PureState, tol: float = DEFAULT_TOL) -> float:
     """
     if not state.has_uniform_support():
         raise ValueError("counting sum requires a balanced (uniform-profile) support")
-    return _diagonal_mass(_pair_marginals(state, tol))
+    pairs = combinations(range(state.shape.n), 2)
+    marginals = [partial_trace(state, pair, tol) for pair in pairs]
+    return sum(float(_equal_label_mass(m.matrix, state.shape.d)) for m in marginals)
 
 
-def _pair_marginals(state: PureState, tol: float) -> list[MarginalMatrix]:
-    """Every two-site marginal, pairs in lexicographic order (built once per replay trial)."""
-    return [partial_trace(state, pair, tol) for pair in combinations(range(state.shape.n), 2)]
+def _equal_label_mass(blocks: np.ndarray, d: int) -> np.ndarray:
+    """Summed equal-label entries ``tau(l, l; l, l)`` of each trailing two-site block."""
+    return blocks.diagonal(axis1=-2, axis2=-1)[..., :: d + 1].real.sum(axis=-1)
 
 
-def _diagonal_mass(marginals: list[MarginalMatrix]) -> float:
-    """Summed equal-label entries ``tau(l, l; l, l)`` of two-site marginals."""
-    return sum(float(m.matrix.diagonal()[:: m.d + 1].real.sum()) for m in marginals)
-
-
-def _werner_deficit(marginals: list[MarginalMatrix], d: int) -> float:
-    """Pair deficit of a normalized invariant state, read from its swap expectations.
+def _werner_form(s: np.ndarray, d: int) -> np.ndarray:
+    """Pair deficit of normalized invariant states, read from their swap expectations.
 
     Every pair marginal of such a state is a Werner state, fixed by its
     swap expectation ``s = sum_ij tau[(i, j), (j, i)]``, and its squared
     distance from ``I / d**2`` is
     ``f_d(s) = (d s**2 - 2 s + d) / (d (d**2 - 1)) - 1 / d**2``
     (0 at ``d = 1``, where every marginal is ``(1)``).  This is the
-    per-pair form of the optimizer's objective at unit norm.
+    per-pair form of the optimizer's objective at unit norm.  ``s`` holds
+    one row of pair swap expectations per state.
     """
-    if d == 1 or not marginals:
-        return 0.0
-    blocks = np.stack([m.matrix for m in marginals]).reshape(-1, d, d, d, d)
-    s = np.einsum("pijji->p", blocks).real
-    return float(np.sum((d * s**2 - 2 * s + d) / (d * (d * d - 1)) - 1.0 / d**2))
+    if d == 1:
+        return np.zeros(len(s))
+    return np.sum((d * s**2 - 2 * s + d) / (d * (d * d - 1)) - 1.0 / d**2, axis=1)
+
+
+def _replay_sums(
+    digits: np.ndarray, amps: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per state: the counting sum, the pair deficit and its Werner form.
+
+    ``digits`` and ``amps`` are normalized states aligned on their joint
+    support.  For each site pair, one factor stack gives every state's
+    marginal in one batched ``F @ F^H``; the equal-label mass and the
+    uniform deviation are added in pair order, as :func:`counting_sum`
+    and :func:`pair_deficit` add them.
+    """
+    pairs = list(combinations(range(digits.shape[1]), 2))
+    mass, deficit = np.zeros(len(amps)), np.zeros(len(amps))
+    swaps = np.empty((len(amps), len(pairs)))
+    for position, pair in enumerate(pairs):
+        factors = _marginal_factors(digits, amps, list(pair), d)
+        blocks = factors @ factors.conj().transpose(0, 2, 1)
+        mass += _equal_label_mass(blocks, d)
+        deficit += _uniform_deviations(blocks)
+        swaps[:, position] = np.einsum("tijji->t", blocks.reshape(-1, d, d, d, d)).real
+    return mass, deficit, _werner_form(swaps, d)
+
+
+#: Bytes one batch of replayed trials may hold: their amplitude rows and
+#: states, and one site pair's factors with their conjugate.
+_REPLAY_BYTES = 32 * 2**20
+
+
+def _replay_batch(basis: SingletBasis, trials: int) -> int:
+    """Trials per batch of the replay; :class:`MemoryError` when one batch cannot fit.
+
+    A trial costs its amplitude row and its state (about ``(32 + n) S``
+    bytes on a support of ``S`` rows) and, per site pair, a ``d**2 x m``
+    complex factor and its conjugate, with ``m <= S`` complement rows.
+    Batches stay within ``_REPLAY_BYTES`` unless a single trial exceeds
+    it, and are checked against the soft address-space limit when one is
+    set, else physical memory.
+    """
+    n, d = basis.shape.n, basis.shape.d
+    support = len(basis.support)
+    per_trial = (32 + n + 32 * d * d) * support
+    batch = max(1, min(trials, _REPLAY_BYTES // per_trial))
+    need = batch * per_trial
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryError(
+            f"replaying pair marginals of n={n} sites with d={d} levels would take about "
+            f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
+        )
+    return batch
 
 
 @dataclass(frozen=True)
@@ -197,19 +255,27 @@ def verify_certificate_numerically(
     then draws ``trials`` seeded random combinations and checks that the
     counting sum matches the certificate's exact value within ``tol``,
     the pair deficit never drops below the floor minus ``tol``, and the
-    pair deficit equals its Werner form (see :func:`_werner_deficit`),
-    read from the same marginals, within ``tol``.
+    pair deficit equals its Werner form (see :func:`_werner_form`),
+    read from the same marginals, within ``tol``.  Trials are replayed
+    in batches, one batched marginal product per site pair, and checked
+    in trial order.
 
     Raises :class:`CertificateViolationError` on any failure; for an
     honest basis the bounds hold by construction, so a violation means
-    the input does not span the subspace it claims to.
+    the input does not span the subspace it claims to.  Raises
+    :class:`ValueError` when ``d`` does not divide ``n`` and
+    :class:`MemoryError`, before any check, when one batch of trials
+    cannot fit in memory.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if basis.dimension == 0:
         raise ValueError("basis is empty")
+    n, d = basis.shape.n, basis.shape.d
+    if not basis.shape.divisible:
+        raise ValueError(f"d={d} does not divide n={n}: no balanced support to replay on")
+    batch = _replay_batch(basis, trials)
     certificate = certify(basis.shape)
-    assert certificate.actual is not None and certificate.deficit_floor is not None
     for position, member in enumerate(basis):
         if not member.has_uniform_support():
             raise CertificateViolationError(
@@ -232,27 +298,27 @@ def verify_certificate_numerically(
     rng = np.random.default_rng(seed)
     worst_identity = 0.0
     least_deficit = float("inf")
-    for trial in range(trials):
-        state = basis.random_state(rng)
-        marginals = _pair_marginals(state, tol)
-        identity_residual = abs(_diagonal_mass(marginals) - actual)
-        worst_identity = max(worst_identity, identity_residual)
-        if identity_residual > tol:
-            raise CertificateViolationError(
-                f"trial {trial}: counting sum off by {identity_residual:.3e}"
-            )
-        deficit = sum(marginal.uniform_deviation() for marginal in marginals)
-        least_deficit = min(least_deficit, deficit)
-        if deficit < floor - tol:
-            raise CertificateViolationError(
-                f"trial {trial}: pair deficit {deficit:.12g} below floor {floor:.12g}"
-            )
-        werner = _werner_deficit(marginals, basis.shape.d)
-        if abs(deficit - werner) > tol:
-            raise CertificateViolationError(
-                f"trial {trial}: pair deficit {deficit:.12g} differs from its "
-                f"Werner form {werner:.12g}, so the state is not invariant"
-            )
+    for first in range(0, trials, batch):
+        states = [basis.random_state(rng) for _ in range(min(batch, trials - first))]
+        sums = (column.tolist() for column in _replay_sums(*joint_amplitudes(states), d))
+        for trial, (state, mass, deficit, werner) in enumerate(zip(states, *sums), first):
+            _require_normalized(state, tol)
+            identity_residual = abs(mass - actual)
+            worst_identity = max(worst_identity, identity_residual)
+            if identity_residual > tol:
+                raise CertificateViolationError(
+                    f"trial {trial}: counting sum off by {identity_residual:.3e}"
+                )
+            least_deficit = min(least_deficit, deficit)
+            if deficit < floor - tol:
+                raise CertificateViolationError(
+                    f"trial {trial}: pair deficit {deficit:.12g} below floor {floor:.12g}"
+                )
+            if abs(deficit - werner) > tol:
+                raise CertificateViolationError(
+                    f"trial {trial}: pair deficit {deficit:.12g} differs from its "
+                    f"Werner form {werner:.12g}, so the state is not invariant"
+                )
     return CertificateCheck(
         trials=trials,
         seed=seed,

@@ -36,6 +36,7 @@ from .states import (
     SupportProfile,
     SystemShape,
     _check_dense_memory,
+    _integer_field,
     _local_image,
     _canonical_phase,
     _memory_limit,
@@ -543,11 +544,19 @@ def basis_to_dict(basis: SingletBasis, seed: int = 0) -> dict:
 
 
 def basis_from_dict(obj: dict) -> SingletBasis:
+    """Parse the JSON-dict form back into a basis.
+
+    ``n``, ``d`` and ``dimension`` must be JSON integers and
+    ``tolerance`` a JSON number; other values are rejected, not
+    converted.
+    """
     try:
-        shape = SystemShape(int(obj["n"]), int(obj["d"]))
+        shape = SystemShape(_integer_field(obj, "n"), _integer_field(obj, "d"))
+        if type(obj["tolerance"]) not in (int, float):
+            raise TypeError(f"'tolerance' must be a number, got {obj['tolerance']!r}")
         tol = float(obj["tolerance"])
         states = tuple(state_from_dict(entry) for entry in obj["states"])
-        dimension = int(obj["dimension"])
+        dimension = _integer_field(obj, "dimension")
         if dimension != len(states):
             raise ValueError(f"dimension {dimension} but {len(states)} states")
         return SingletBasis(shape=shape, tolerance=tol, states=states)

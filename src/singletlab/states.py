@@ -689,25 +689,31 @@ class MarginalMatrix:
 
     def uniform_deviation(self) -> float:
         """Squared Frobenius distance to the maximally mixed matrix ``I / dim``."""
-        delta = self.matrix - np.eye(self.dim) / self.dim
-        return float(np.sum(np.abs(delta) ** 2))
+        return float(_uniform_deviations(self.matrix))
 
     def is_maximally_mixed(self, tol: float = DEFAULT_TOL) -> bool:
         return self.uniform_deviation() <= tol
 
 
-def _marginal_factors(states: Sequence[PureState], keep: list[int]) -> np.ndarray:
-    """One ``d**k x m`` factor ``X`` per state, with ``Tr_B |a><b| = X_a @ X_b^H``.
+def _uniform_deviations(blocks: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance of each trailing ``dim x dim`` block to ``I / dim``."""
+    dim = blocks.shape[-1]
+    delta = blocks - np.eye(dim) / dim
+    return np.sum(np.abs(delta) ** 2, axis=(-2, -1))
 
-    Rows index the ``k`` kept sites; columns, numbered alike for every
-    state, the distinct complement rows of the joint support.
+
+def _marginal_factors(digits: np.ndarray, amps: np.ndarray, keep: list[int], d: int) -> np.ndarray:
+    """One ``d**k x m`` factor ``X`` per amplitude row, with ``Tr_B |a><b| = X_a @ X_b^H``.
+
+    ``digits`` and ``amps`` are states aligned on their joint support, as
+    :func:`joint_amplitudes` gives them.  Rows of a factor index the
+    ``k`` kept sites; columns, numbered alike for every state, the
+    distinct complement rows of the joint support.
     """
-    shape = states[0].shape
-    digits, amps = joint_amplitudes(states)
-    drop = [site for site in range(shape.n) if site not in keep]
-    columns, distinct = _group_rows(digits[:, drop], shape.d)
-    factors = np.zeros((len(states), shape.d ** len(keep), distinct.size), dtype=complex)
-    factors[:, digits[:, keep] @ _weights(shape.d, len(keep)), columns] = amps
+    drop = [site for site in range(digits.shape[1]) if site not in keep]
+    columns, distinct = _group_rows(digits[:, drop], d)
+    factors = np.zeros((len(amps), d ** len(keep), distinct.size), dtype=complex)
+    factors[:, digits[:, keep] @ _weights(d, len(keep)), columns] = amps
     return factors
 
 
@@ -736,11 +742,17 @@ def cross_marginal(
         raise ValueError(f"duplicate sites in subsystem {tuple(sites)}")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"subsystem {tuple(sites)} out of range for n={n}")
-    factors = _marginal_factors(lefts if right is left else lefts + rights, keep)
+    digits, amps = joint_amplitudes(lefts if right is left else lefts + rights)
+    factors = _marginal_factors(digits, amps, keep, lefts[0].shape.d)
     x = factors[: len(lefts)]
     y = factors if right is left else factors[len(lefts) :]
     blocks = x[:, None] @ y.conj().transpose(0, 2, 1)[None]
     return blocks[0, 0] if single else blocks
+
+
+def _require_normalized(state: PureState, tol: float) -> None:
+    if not state.is_normalized(tol):
+        raise ValueError(f"state norm is {state.norm():.12g}, expected 1 within {tol:.1e}")
 
 
 def partial_trace(
@@ -763,8 +775,7 @@ def partial_trace(
     MarginalMatrix
         Hermitian, trace one (up to roundoff), of dimension ``d**|sites|``.
     """
-    if not state.is_normalized(tol):
-        raise ValueError(f"state norm is {state.norm():.12g}, expected 1 within {tol:.1e}")
+    _require_normalized(state, tol)
     keep = tuple(sorted(int(s) for s in sites))
     block = cross_marginal(state, state, keep)
     return MarginalMatrix(sites=keep, d=state.shape.d, matrix=block)
@@ -792,16 +803,24 @@ def state_to_dict(state: PureState) -> dict:
     )
 
 
+def _integer_field(obj: Mapping, key: str) -> int:
+    """``obj[key]`` when it is a JSON integer; a float, string or bool is a TypeError."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def state_from_dict(obj: Mapping) -> PureState:
     """Parse the JSON-dict form back into a PureState.
 
     Stored amplitudes are taken verbatim, with no phase
-    canonicalization, so that files round-trip exactly.  Index entries
-    that are not integers and amplitude parts that are not finite
-    numbers are rejected, not converted.
+    canonicalization, so that files round-trip exactly.  ``n``, ``d``
+    and index entries that are not integers, and amplitude parts that
+    are not finite numbers, are rejected, not converted.
     """
     try:
-        shape = SystemShape(int(obj["n"]), int(obj["d"]))
+        shape = SystemShape(_integer_field(obj, "n"), _integer_field(obj, "d"))
         entries = obj["amplitudes"]
         indices = [entry["index"] for entry in entries]
         parts = [(entry["re"], entry["im"]) for entry in entries]

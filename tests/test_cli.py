@@ -155,6 +155,34 @@ class TestVerify:
             json.dump(payload, handle)
         assert main(["verify", "--basis", bad, "--trials", "5"]) == 1
 
+    def test_shape_that_d_does_not_divide_exits_2(self, tmp_path, capsys):
+        payload = {
+            "n": 3,
+            "d": 2,
+            "K": None,
+            "dimension": 1,
+            "tolerance": 1e-9,
+            "permutation_phase": None,
+            "seed": 0,
+            "states": [
+                {"n": 3, "d": 2, "amplitudes": [{"index": [0, 0, 1], "re": 1.0, "im": 0.0}]}
+            ],
+        }
+        path = str(tmp_path / "basis_3_2.json")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        assert main(["verify", "--basis", path, "--trials", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: d=2 does not divide n=3")
+
+    def test_replay_too_large_exits_2(self, tmp_path, capsys, address_space_cap):
+        path = str(tmp_path / "basis_8_4.json")
+        save_basis(build_singlet_basis(SystemShape(8, 4)), path)
+        address_space_cap(1 << 20)
+        assert main(["verify", "--basis", path, "--trials", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: replaying pair marginals of n=8 sites with d=4 levels")
+        assert "GiB" in err
+
 
 class TestOptimize:
     def test_reports_floor_and_deficit(self, basis42_file, tmp_path, capsys):
@@ -329,6 +357,16 @@ class TestMalformedNumbers:
             json.dump(payload, handle)
         assert main(["check-invariance", "--state", path]) == 2
         assert "malformed state document" in capsys.readouterr().err
+
+    def test_shape_fields_are_not_coerced(self, bell_file, tmp_path, capsys):
+        # int() would read these as the Bell singlet's shape (2, 2).
+        payload = json.loads(open(bell_file).read())
+        payload["n"], payload["d"] = 2.7, "2"
+        path = str(tmp_path / "bell_coerced.json")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        assert main(["check-invariance", "--state", path]) == 2
+        assert "malformed state document: 'n' must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["optimize", "verify"])
     @pytest.mark.parametrize(

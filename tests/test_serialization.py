@@ -200,3 +200,50 @@ class TestStrictStateParsing:
         assert struct.pack("<dd", state.values[0].real, state.values[0].imag) == struct.pack(
             "<dd", -0.5, -0.0
         )
+
+
+class TestStrictShapeFields:
+    """``n``, ``d`` and ``dimension`` must be JSON integers and ``tolerance`` a JSON number."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.7), ("n", 2.0), ("d", "2"), ("d", True), ("n", None)],
+        ids=repr,
+    )
+    def test_state_shape_must_be_integers(self, field, value):
+        document = {"n": 2, "d": 2, "amplitudes": [{"index": [0, 1], "re": 1.0, "im": 0.0}]}
+        document[field] = value
+        with pytest.raises(ValueError, match=f"malformed state document: '{field}' must be"):
+            state_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 4.0),
+            ("d", "2"),
+            ("d", False),
+            ("dimension", 2.0),
+            ("dimension", "2"),
+            ("dimension", True),
+            ("tolerance", "1e-9"),
+            ("tolerance", None),
+            ("tolerance", True),
+        ],
+        ids=repr,
+    )
+    def test_basis_fields_are_not_coerced(self, basis_cache, field, value):
+        document = basis_to_dict(basis_cache(4, 2))
+        document[field] = value
+        with pytest.raises(ValueError, match=f"malformed basis document: '{field}' must be"):
+            basis_from_dict(document)
+
+    def test_integer_tolerance_loads_as_a_float(self, basis_cache):
+        document = basis_to_dict(basis_cache(4, 2))
+        document["tolerance"] = 0
+        basis = basis_from_dict(document)
+        assert basis.tolerance == 0.0 and type(basis.tolerance) is float
+
+    @pytest.mark.parametrize("name", ["basis_8_2.json", "basis_6_3.json"])
+    def test_pinned_files_still_load(self, name):
+        basis = load_basis(os.path.join(DATA_DIR, name))
+        assert basis.dimension == _json.load(os.path.join(DATA_DIR, name))["dimension"]
