@@ -8,27 +8,27 @@ the same bits, so identical inputs give byte-identical files.  NaN and
 infinities are rejected, and so are non-string object keys, which the
 stdlib encoder would otherwise coerce to strings.
 
-Basis and state files hold one dict per amplitude in their dict forms,
-so they are written without building those dicts.  A document value may
-be :class:`Deferred`: :func:`amplitude_lists` encodes the amplitude list
-of each row of an amplitude matrix (a basis, or one state) from the
-index rows the states share, and :func:`streamed` writes a list of
-documents one member at a time.  :func:`dump` checks and encodes every
-other value before it opens the file, and writes the deferred text only
-as it reaches it.  The bytes are those :func:`dumps` gives for the dict
-forms.
+One rule lets basis and state files be written without building the
+dict per amplitude of their dict forms: the *last* value of a document
+may be an iterator of JSON texts, and it stands for the list of those
+texts.  :func:`amplitude_lists` gives such an iterator of entry texts
+for each row of an amplitude matrix (a basis, or one state), and a
+basis's ``"states"`` value is an iterator of member texts, each the
+:func:`encode` of one state document.  :func:`dump` checks and encodes
+every other value before it opens the file, then writes the texts one
+at a time, so a basis is held one member at a time.  The bytes are those
+:func:`dumps` gives for the dict forms.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Deferred", "amplitude_lists", "streamed", "dumps", "dump", "load"]
+__all__ = ["amplitude_lists", "encode", "dumps", "dump", "load"]
 
 _LEAVES = frozenset({str, int, float, bool, type(None)})
 
@@ -52,98 +52,70 @@ def _check_keys(obj: Any) -> None:
             _check_keys(item)
 
 
-def _encode(obj: Any) -> str:
-    _check_keys(obj)
-    return json.dumps(obj, allow_nan=False)
-
-
-class Deferred:
-    """A document value whose JSON text is made, in pieces, only when :func:`dump` writes it."""
-
-    __slots__ = ("_pieces",)
-
-    def __init__(self, pieces: Callable[[], Iterable[str]]) -> None:
-        self._pieces = pieces
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._pieces())
-
-
-def amplitude_lists(rows: np.ndarray, amplitudes: np.ndarray) -> list[Deferred]:
-    """The ``amplitudes`` value of each row of an amplitude matrix, encoded when written.
+def amplitude_lists(rows: np.ndarray, amplitudes: np.ndarray) -> Iterator[Iterator[str]]:
+    """The entry texts of each row of an amplitude matrix, one iterator per row.
 
     ``rows`` holds distinct index rows, and state ``k`` stores the index
     ``rows[i]`` with amplitude ``amplitudes[k, i]`` wherever that is
     nonzero.  Each row's text is made once and shared by every state
-    that stores it.  A non-finite amplitude raises the stdlib encoder's
-    ``ValueError`` here, before any file is opened.
+    that stores it; a state's entries are made only when it is reached.
+    A non-finite amplitude raises the stdlib encoder's ``ValueError``
+    here, before any file is opened.
     """
     bad = amplitudes[~np.isfinite(amplitudes)]
     if bad.size:
         # The stdlib encoder raises its own error on the first one.
         json.dumps([float(bad[0].real), float(bad[0].imag)], allow_nan=False)
     table = np.array([str(row) for row in rows.tolist()], dtype=object)
-    return [Deferred(partial(_amplitude_list, table, vector)) for vector in amplitudes]
+
+    def entries(vector: np.ndarray) -> Iterator[str]:
+        kept = np.flatnonzero(vector)
+        columns = table[kept].tolist(), vector.real[kept].tolist(), vector.imag[kept].tolist()
+        return map(_ENTRY.__mod__, zip(*columns))
+
+    return map(entries, amplitudes)
 
 
-def _amplitude_list(table: np.ndarray, vector: np.ndarray) -> Iterator[str]:
-    kept = np.flatnonzero(vector)
-    entries = zip(table[kept].tolist(), vector.real[kept].tolist(), vector.imag[kept].tolist())
-    yield "[" + ", ".join(map(_ENTRY.__mod__, entries)) + "]"
+def _plain(obj: Any) -> str:
+    """The stdlib encoder's text of ``obj``, its keys checked first."""
+    _check_keys(obj)
+    return json.dumps(obj, allow_nan=False)
 
 
-def _parts(document: dict) -> list:
-    """``document``'s JSON text as strings, with its :class:`Deferred` values left in place."""
-    parts, separator = ["{"], ""
-    for key, value in document.items():
-        if isinstance(value, Deferred):
-            # '"key": ', cut from the encoding of {key: null}
-            parts += [separator + _encode({key: None})[1:-5], value]
-        else:
-            parts.append(separator + _encode({key: value})[1:-1])
-        separator = ", "
-    parts.append("}")
-    return parts
+def _split(document: Any) -> tuple[str, Iterable[str], str]:
+    """``document``'s text as a head, the texts of a streamed last value, and a tail."""
+    if isinstance(document, dict) and document:
+        key = next(reversed(document))
+        texts = document[key]
+        if isinstance(texts, Iterator):
+            # The text of {..., "key": []} without its closing "]}".
+            return _plain({**document, key: []})[:-2], texts, "]}"
+    return _plain(document), (), ""
 
 
-def _pieces(parts: list) -> Iterator[str]:
-    for part in parts:
-        if isinstance(part, str):
-            yield part
-        else:
-            yield from part
-
-
-def streamed(documents: Iterable[dict]) -> Deferred:
-    """A list of documents, written one member at a time.
-
-    Each member's values other than :class:`Deferred` ones are checked
-    and encoded here.
-    """
-    parts = ["["]
-    for position, document in enumerate(documents):
-        if position:
-            parts.append(", ")
-        parts += _parts(document)
-    parts.append("]")
-    return Deferred(partial(_pieces, parts))
+def encode(document: Any) -> str:
+    """The JSON text of ``document``, with no trailing newline."""
+    head, texts, tail = _split(document)
+    return head + ", ".join(texts) + tail
 
 
 def dumps(obj: Any) -> str:
     """Serialize ``obj`` to a deterministic, newline-terminated JSON string."""
-    return _encode(obj) + "\n"
+    return encode(obj) + "\n"
 
 
 def dump(document: dict, path: str) -> None:
-    """Write ``document`` to ``path``: the text :func:`dumps` gives for its dict form.
+    """Write ``document`` to ``path``: the text :func:`dumps` gives for it.
 
-    Every value except the :class:`Deferred` ones is checked and encoded
-    before the file is opened.
+    Everything but a streamed last value is checked and encoded before
+    the file is opened; that value's texts are written as they are made.
     """
-    parts = _parts(document)
+    head, texts, tail = _split(document)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_pieces(parts))
-        handle.write("\n")
+        handle.write(head)
+        for position, text in enumerate(texts):
+            handle.write(", " + text if position else text)
+        handle.write(tail + "\n")
 
 
 def load(path: str) -> dict:

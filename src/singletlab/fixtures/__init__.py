@@ -30,21 +30,22 @@ def available() -> list[str]:
     return sorted(_FILES)
 
 
-def load(name: str) -> PureState:
-    """Load one bundled state by name."""
+def _resource(name: str):
+    """The packaged file of fixture ``name``; :class:`KeyError` for an unknown name."""
     try:
         filename = _FILES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(available())}") from None
-    text = resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
+    return resources.files(__package__).joinpath(filename)
+
+
+def load(name: str) -> PureState:
+    """Load one bundled state by name."""
+    text = _resource(name).read_text(encoding="utf-8")
     return state_from_dict(json.loads(text))
 
 
 def export(name: str, path: str) -> None:
     """Copy one bundled state's JSON file to ``path``."""
-    try:
-        filename = _FILES[name]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(available())}") from None
-    with resources.as_file(resources.files(__package__).joinpath(filename)) as source:
+    with resources.as_file(_resource(name)) as source:
         shutil.copyfile(source, path)

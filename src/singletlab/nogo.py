@@ -29,7 +29,7 @@ from .states import (
     PureState,
     SystemShape,
     _marginal_factors,
-    _memory_limit,
+    _require_memory,
     _require_normalized,
     _uniform_deviations,
     joint_amplitudes,
@@ -133,13 +133,9 @@ def _replay_batch(basis: SingletBasis, trials: int) -> int:
     support = len(basis.support)
     per_trial = (32 + n + 32 * d * d) * support
     batch = max(1, min(trials, _REPLAY_BYTES // per_trial))
-    need = batch * per_trial
-    limit = _memory_limit()
-    if need > limit:
-        raise MemoryError(
-            f"replaying pair marginals of n={n} sites with d={d} levels would take about "
-            f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
-        )
+    _require_memory(
+        batch * per_trial, f"replaying pair marginals of n={n} sites with d={d} levels"
+    )
     return batch
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nogo import certify
+from .nogo import _fraction_to_dict, certify
 from .singlet import SingletBasis
 from .states import DEFAULT_TOL, _weights, state_to_dict
 # The objective calls no marginal routine; perfbench's tracer wraps
@@ -343,8 +343,6 @@ def gradient_check(
 
 def result_to_dict(result: OptimizationResult, basis: SingletBasis) -> dict:
     """Plain-dict form of a result, including the resolved best state."""
-    certificate = certify(basis.shape)
-    floor_fraction = certificate.deficit_floor
     state = basis.combine(result.coefficients).normalized()
     return {
         "n": basis.shape.n,
@@ -355,11 +353,7 @@ def result_to_dict(result: OptimizationResult, basis: SingletBasis) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "deficit": result.deficit,
-        "floor": (
-            None
-            if floor_fraction is None
-            else {"num": floor_fraction.numerator, "den": floor_fraction.denominator}
-        ),
+        "floor": _fraction_to_dict(certify(basis.shape).deficit_floor),
         "floor_decimal": result.floor,
         "coefficients": [{"re": z.real, "im": z.imag} for z in result.coefficients],
         "restart_deficits": list(result.restart_deficits),

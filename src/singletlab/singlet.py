@@ -39,7 +39,7 @@ from .states import (
     _integer_field,
     _local_image,
     _canonical_phase,
-    _memory_limit,
+    _require_memory,
     _state_document,
     _weights,
     apply_local,
@@ -247,13 +247,8 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     support = SupportProfile.uniform(shape).size()
     per_entry = 4 * 8 + (500 + 8 * shape.n if document else 0)
     need = support * (48 + 16 * shape.n) + dimension * support * per_entry
-    limit = _memory_limit()
-    if need > limit:
-        what = "the basis and its JSON document" if document else "the basis"
-        raise MemoryError(
-            f"{what} at shape {shape} (support {support}, dimension {dimension}) would "
-            f"take about {need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
-        )
+    what = "the basis and its JSON document" if document else "the basis"
+    _require_memory(need, f"{what} at shape {shape} (support {support}, dimension {dimension})")
 
 
 _PRUNE_REL = 1e-14
@@ -575,7 +570,7 @@ def save_basis(basis: SingletBasis, path: str, seed: int = 0, phase: str | None 
     if phase is None:
         phase = measure_phase(basis, seed=seed)
     lists = _json.amplitude_lists(basis.support, basis.amplitudes)
-    members = _json.streamed(_state_document(basis.shape, amplitudes) for amplitudes in lists)
+    members = (_json.encode(_state_document(basis.shape, entries)) for entries in lists)
     _json.dump(_basis_document(basis, seed, phase, members), path)
 
 

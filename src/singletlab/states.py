@@ -33,6 +33,7 @@ import os
 import resource
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain
 from types import MappingProxyType
 
@@ -177,24 +178,17 @@ def enumerate_support(shape: SystemShape, profile: SupportProfile) -> list[tuple
         raise ValueError(f"profile has {profile.d} labels, shape has d={shape.d}")
     if profile.total != shape.n:
         raise ValueError(f"profile sums to {profile.total}, expected n={shape.n}")
-    remaining = list(profile.counts)
-    prefix: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def descend(depth: int) -> None:
-        if depth == shape.n:
-            out.append(tuple(prefix))
-            return
-        for label in range(shape.d):
-            if remaining[label]:
-                remaining[label] -= 1
-                prefix.append(label)
-                descend(depth + 1)
-                prefix.pop()
-                remaining[label] += 1
-
-    descend(0)
-    return out
+    # Level by level: np.nonzero of the remaining counts lists each word's
+    # possible next labels, rows first and labels in increasing order, so
+    # the extended words stay in lexicographic order.
+    words = np.zeros((1, 0), dtype=np.intp)
+    remaining = np.array([profile.counts], dtype=np.intp)
+    for _ in range(shape.n):
+        rows, labels = np.nonzero(remaining)
+        words = np.column_stack((words[rows], labels))
+        remaining = remaining[rows]
+        remaining[np.arange(len(rows)), labels] -= 1
+    return list(zip(*words.T.tolist()))
 
 
 # --- index arrays ----------------------------------------------------------
@@ -534,6 +528,17 @@ def _memory_limit() -> int:
     return limit
 
 
+def _require_memory(need: int, what: str) -> None:
+    """Raise :class:`MemoryError` when ``need`` bytes, the cost of ``what``, cannot fit."""
+    limit = _memory_limit()
+    if need > limit:
+        # An astronomically large shape's figure overflows a float; Decimal holds it.
+        gib = need / 2**30 if need < 2**1000 else Decimal(need) / 2**30
+        raise MemoryError(
+            f"{what} would take about {gib:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
+        )
+
+
 def _check_dense_memory(shape: SystemShape, per_entry: int = 64) -> None:
     """Raise :class:`MemoryError` before forming a ``d**n`` image that cannot fit.
 
@@ -542,13 +547,10 @@ def _check_dense_memory(shape: SystemShape, per_entry: int = 64) -> None:
     :func:`_local_image` step, and one temporary of the caller's
     comparison.
     """
-    need = per_entry * shape.total_dimension
-    limit = _memory_limit()
-    if need > limit:
-        raise MemoryError(
-            f"a dense image of n={shape.n} sites with d={shape.d} levels would take about "
-            f"{need / 2**30:.3g} GiB, more than the {limit / 2**30:.3g} GiB available"
-        )
+    _require_memory(
+        per_entry * shape.total_dimension,
+        f"a dense image of n={shape.n} sites with d={shape.d} levels",
+    )
 
 
 def _local_image(vector: np.ndarray, matrix: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -840,8 +842,8 @@ def state_from_dict(obj: Mapping) -> PureState:
 
 
 def save_state(state: PureState, path: str) -> None:
-    (amplitudes,) = _json.amplitude_lists(state.digits, state.values[None, :])
-    _json.dump(_state_document(state.shape, amplitudes), path)
+    (entries,) = _json.amplitude_lists(state.digits, state.values[None, :])
+    _json.dump(_state_document(state.shape, entries), path)
 
 
 def load_state(path: str) -> PureState:
