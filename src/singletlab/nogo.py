@@ -18,23 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .singlet import SingletBasis, verify_invariance
-from .states import (
-    DEFAULT_TOL,
-    PureState,
-    SystemShape,
-    _marginal_factors,
-    _require_memory,
-    _require_normalized,
-    _uniform_deviations,
-    joint_amplitudes,
-    partial_trace,
-)
+from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory, _require_normalized
+from .states import _pair_sums as _replay_sums, joint_amplitudes
+# perfbench's tracer wraps partial_trace through this binding.
+from .states import partial_trace  # noqa: F401
 # The floor bounds pair_deficit; perfbench's tracer wraps it through this binding.
 from .uniformity import pair_deficit  # noqa: F401
 
@@ -61,18 +53,13 @@ def counting_sum(state: PureState, tol: float = DEFAULT_TOL) -> float:
     labels ``l``.  Requires a normalized state with balanced support;
     every such state gives exactly ``d * C(K, 2)`` regardless of its
     amplitudes, because each stored index contributes ``C(K, 2)`` equal
-    pairs per label.
+    pairs per label.  The sum is read from the same pair pass that
+    :func:`verify_certificate_numerically` replays.
     """
     if not state.has_uniform_support():
         raise ValueError("counting sum requires a balanced (uniform-profile) support")
-    pairs = combinations(range(state.shape.n), 2)
-    marginals = [partial_trace(state, pair, tol) for pair in pairs]
-    return sum(float(_equal_label_mass(m.matrix, state.shape.d)) for m in marginals)
-
-
-def _equal_label_mass(blocks: np.ndarray, d: int) -> np.ndarray:
-    """Summed equal-label entries ``tau(l, l; l, l)`` of each trailing two-site block."""
-    return blocks.diagonal(axis1=-2, axis2=-1)[..., :: d + 1].real.sum(axis=-1)
+    _require_normalized(state, tol)
+    return float(_replay_sums(state.digits, state.values[None], state.shape.d)[0][0])
 
 
 def _werner_form(s: np.ndarray, d: int) -> np.ndarray:
@@ -89,29 +76,6 @@ def _werner_form(s: np.ndarray, d: int) -> np.ndarray:
     if d == 1:
         return np.zeros(len(s))
     return np.sum((d * s**2 - 2 * s + d) / (d * (d * d - 1)) - 1.0 / d**2, axis=1)
-
-
-def _replay_sums(
-    digits: np.ndarray, amps: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per state: the counting sum, the pair deficit and its Werner form.
-
-    ``digits`` and ``amps`` are normalized states aligned on their joint
-    support.  For each site pair, one factor stack gives every state's
-    marginal in one batched ``F @ F^H``; the equal-label mass and the
-    uniform deviation are added in pair order, as :func:`counting_sum`
-    and :func:`pair_deficit` add them.
-    """
-    pairs = list(combinations(range(digits.shape[1]), 2))
-    mass, deficit = np.zeros(len(amps)), np.zeros(len(amps))
-    swaps = np.empty((len(amps), len(pairs)))
-    for position, pair in enumerate(pairs):
-        factors = _marginal_factors(digits, amps, list(pair), d)
-        blocks = factors @ factors.conj().transpose(0, 2, 1)
-        mass += _equal_label_mass(blocks, d)
-        deficit += _uniform_deviations(blocks)
-        swaps[:, position] = np.einsum("tijji->t", blocks.reshape(-1, d, d, d, d)).real
-    return mass, deficit, _werner_form(swaps, d)
 
 
 #: Bytes one batch of replayed trials may hold: their amplitude rows and
@@ -296,8 +260,9 @@ def verify_certificate_numerically(
     least_deficit = float("inf")
     for first in range(0, trials, batch):
         states = [basis.random_state(rng) for _ in range(min(batch, trials - first))]
-        sums = (column.tolist() for column in _replay_sums(*joint_amplitudes(states), d))
-        for trial, (state, mass, deficit, werner) in enumerate(zip(states, *sums), first):
+        masses, deficits, swaps = _replay_sums(*joint_amplitudes(states), d)
+        figures = zip(states, masses.tolist(), deficits.tolist(), _werner_form(swaps, d).tolist())
+        for trial, (state, mass, deficit, werner) in enumerate(figures, first):
             _require_normalized(state, tol)
             identity_residual = abs(mass - actual)
             worst_identity = max(worst_identity, identity_residual)

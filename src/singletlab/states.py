@@ -18,7 +18,9 @@ marginals, is built on the handful of primitives defined here:
   :func:`partial_trace`, :func:`cross_marginal`: the operations the rest
   of the package uses.  Every marginal comes from one kernel that
   scatters amplitudes into a (subsystem index) x (complement row)
-  matrix ``X`` and returns ``X @ Y^H``; no ``d**n`` vector is formed.
+  factor ``F``.  A state's own marginal is ``F @ F^H``; only
+  :func:`cross_marginal` forms cross blocks ``X @ Y^H``.  No ``d**n``
+  vector is formed.
 
 Sites are indexed ``0 .. n-1`` and levels are labeled ``0 .. d-1``
 throughout.  Multi-indices compare lexicographically, which fixes the
@@ -34,7 +36,7 @@ import resource
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain
+from itertools import chain, combinations
 from types import MappingProxyType
 
 import numpy as np
@@ -476,7 +478,7 @@ class LocalOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e} > tol {tol:.1e})")
         return cls(mat, _KIND_GENERAL)
 
@@ -704,19 +706,58 @@ def _uniform_deviations(blocks: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(delta) ** 2, axis=(-2, -1))
 
 
-def _marginal_factors(digits: np.ndarray, amps: np.ndarray, keep: list[int], d: int) -> np.ndarray:
+def _marginal_factors(
+    digits: np.ndarray, amps: np.ndarray, sites: Sequence[int], d: int
+) -> np.ndarray:
     """One ``d**k x m`` factor ``X`` per amplitude row, with ``Tr_B |a><b| = X_a @ X_b^H``.
 
     ``digits`` and ``amps`` are states aligned on their joint support, as
     :func:`joint_amplitudes` gives them.  Rows of a factor index the
-    ``k`` kept sites; columns, numbered alike for every state, the
-    distinct complement rows of the joint support.
+    ``k`` sites (nonempty, distinct, within ``0 .. n-1``) in ascending
+    order; columns, numbered alike for every state, the distinct
+    complement rows of the joint support.
     """
-    drop = [site for site in range(digits.shape[1]) if site not in keep]
+    n = digits.shape[1]
+    keep = sorted(int(s) for s in sites)
+    if not keep:
+        raise ValueError("subsystem must contain at least one site")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"duplicate sites in subsystem {tuple(sites)}")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"subsystem {tuple(sites)} out of range for n={n}")
+    drop = [site for site in range(n) if site not in keep]
     columns, distinct = _group_rows(digits[:, drop], d)
     factors = np.zeros((len(amps), d ** len(keep), distinct.size), dtype=complex)
     factors[:, digits[:, keep] @ _weights(d, len(keep)), columns] = amps
     return factors
+
+
+def _marginal_blocks(
+    digits: np.ndarray, amps: np.ndarray, sites: Sequence[int], d: int
+) -> np.ndarray:
+    """Reduced matrix ``F @ F^H`` on ``sites`` of each aligned amplitude row."""
+    factors = _marginal_factors(digits, amps, sites, d)
+    return factors @ factors.conj().transpose(0, 2, 1)
+
+
+def _pair_sums(
+    digits: np.ndarray, amps: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per amplitude row: equal-label mass, pair deficit and pair swap expectations.
+
+    ``digits`` and ``amps`` are normalized states aligned on their joint
+    support.  Each site pair is one :func:`_marginal_blocks` call for
+    every row; mass and deficit are added in pair order.
+    """
+    pairs = list(combinations(range(digits.shape[1]), 2))
+    mass, deficit = np.zeros(len(amps)), np.zeros(len(amps))
+    swaps = np.empty((len(amps), len(pairs)))
+    for position, pair in enumerate(pairs):
+        blocks = _marginal_blocks(digits, amps, pair, d)
+        mass += blocks.diagonal(axis1=-2, axis2=-1)[..., :: d + 1].real.sum(axis=-1)
+        deficit += _uniform_deviations(blocks)
+        swaps[:, position] = np.einsum("tijji->t", blocks.reshape(-1, d, d, d, d)).real
+    return mass, deficit, swaps
 
 
 def cross_marginal(
@@ -728,7 +769,6 @@ def cross_marginal(
 
     Entry ``(i_A, j_A)`` is ``sum_{i_B} left[i_A, i_B] * conj(right[j_A, i_B])``
     where ``A`` is ``sites`` (ascending) and ``B`` the complement.
-    ``partial_trace`` is the ``left is right`` case.
 
     Both arguments may instead be sequences of states; the result then
     stacks every block: ``cross_marginal(basis, basis, sites)[j, k]`` is
@@ -736,18 +776,10 @@ def cross_marginal(
     """
     single = isinstance(left, PureState)
     lefts, rights = ([left], [right]) if single else (list(left), list(right))
-    n = _common_shape(lefts + rights).n
-    keep = sorted(int(s) for s in sites)
-    if not keep:
-        raise ValueError("subsystem must contain at least one site")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate sites in subsystem {tuple(sites)}")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"subsystem {tuple(sites)} out of range for n={n}")
-    digits, amps = joint_amplitudes(lefts if right is left else lefts + rights)
-    factors = _marginal_factors(digits, amps, keep, lefts[0].shape.d)
+    digits, amps = joint_amplitudes(lefts + rights)
+    factors = _marginal_factors(digits, amps, sites, lefts[0].shape.d)
     x = factors[: len(lefts)]
-    y = factors if right is left else factors[len(lefts) :]
+    y = factors[len(lefts) :]
     blocks = x[:, None] @ y.conj().transpose(0, 2, 1)[None]
     return blocks[0, 0] if single else blocks
 
@@ -779,7 +811,7 @@ def partial_trace(
     """
     _require_normalized(state, tol)
     keep = tuple(sorted(int(s) for s in sites))
-    block = cross_marginal(state, state, keep)
+    block = _marginal_blocks(state.digits, state.values[None], keep, state.shape.d)[0]
     return MarginalMatrix(sites=keep, d=state.shape.d, matrix=block)
 
 

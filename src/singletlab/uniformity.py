@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .states import DEFAULT_TOL, PureState, partial_trace
+from .states import DEFAULT_TOL, PureState, _pair_sums, _require_normalized, partial_trace
 
 __all__ = [
     "UniformityReport",
@@ -92,15 +92,14 @@ def pair_deficit(state: PureState, tol: float = DEFAULT_TOL) -> float:
 
     This is the objective the optimizer minimizes and the quantity the
     counting certificate bounds from below.  Zero exactly for two-uniform
-    states.  For ``n == 2`` the single pair is the whole system.
+    states.  For ``n == 2`` the single pair is the whole system.  The sum
+    is read from the same pair pass that the certificate replay uses.
     """
     n = state.shape.n
     if n < 2:
         raise ValueError(f"pair deficit needs n >= 2, got n={n}")
-    total = 0.0
-    for sites in combinations(range(n), 2):
-        total += partial_trace(state, sites, tol).uniform_deviation()
-    return total
+    _require_normalized(state, tol)
+    return float(_pair_sums(state.digits, state.values[None], state.shape.d)[1][0])
 
 
 def report_to_dict(report: UniformityReport, state: PureState) -> dict:

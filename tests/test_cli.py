@@ -125,6 +125,14 @@ class TestVerifyLemmas:
     def test_product_state_fails(self, product_file):
         assert main(["verify-lemmas", "--basis", product_file]) == 1
 
+    def test_empty_basis_still_writes_its_artifact(self, tmp_path, capsys):
+        basis, report = str(tmp_path / "b.json"), str(tmp_path / "r.json")
+        assert main(["subspace", "--n", "5", "--d", "2", "--out", basis]) == 0
+        assert main(["verify-lemmas", "--basis", basis, "--out", report]) == 0
+        assert "all lemma checks: pass" in capsys.readouterr().out
+        payload = json.loads(open(report).read())
+        assert payload["members"] == [] and payload["passed"] is True
+
 
 class TestCertify:
     def test_prints_exact_fractions(self, capsys):

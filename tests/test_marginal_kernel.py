@@ -11,6 +11,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -131,6 +132,58 @@ def test_verify_shared_pair_marginals_match_public_functions(basis_cache, key, s
     assert check.max_identity_residual == max(
         abs(counting_sum(state) - actual) for state in states
     )
+
+
+def loop_pair_sums(state):
+    """Reference: one ``partial_trace`` per site pair, then the equal-label
+    mass and the pair deficit added in pair order."""
+    d = state.shape.d
+    pairs = itertools.combinations(range(state.shape.n), 2)
+    marginals = [partial_trace(state, pair) for pair in pairs]
+    mass = sum(float(m.matrix.diagonal()[:: d + 1].real.sum()) for m in marginals)
+    return mass, sum(m.uniform_deviation() for m in marginals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_deficit_equals_the_per_pair_loop_exactly(data):
+    shape = data.draw(shapes().filter(lambda shape: shape.n >= 2))
+    kind = data.draw(st.sampled_from(SUPPORT_KINDS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = random_state(shape, kind, rng)
+    assert pair_deficit(state) == loop_pair_sums(state)[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_counting_sum_equals_the_per_pair_loop_exactly(data):
+    shape = data.draw(shapes().filter(lambda shape: shape.divisible))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = random_state(shape, "balanced", rng)
+    assert state.has_uniform_support()
+    assert counting_sum(state) == loop_pair_sums(state)[0]
+
+
+@pytest.mark.parametrize(
+    "sites,message",
+    [
+        ([], "subsystem must contain at least one site"),
+        ([1, 1], "duplicate sites in subsystem (1, 1)"),
+        ([-1, 0], "subsystem (-1, 0) out of range for n=3"),
+        ([0, 3], "subsystem (0, 3) out of range for n=3"),
+    ],
+)
+def test_bad_subsystems_are_rejected_with_their_message(sites, message):
+    state = PureState(SystemShape(3, 2), {(0, 1, 0): 1.0})
+    calls = [
+        lambda: partial_trace(state, sites),
+        lambda: cross_marginal(state, state, sites),
+        lambda: cross_marginal([state], [state, state], sites),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_seventy_qubit_pair_marginal_needs_no_dense_vector():

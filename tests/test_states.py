@@ -172,6 +172,16 @@ class TestLocalOperator:
         with pytest.raises(ValueError):
             LocalOperator.unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_unitary_rejects_a_nan_matrix(self):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            LocalOperator.unitary(np.full((2, 2), np.nan))
+
+    def test_unitary_rejects_an_infinite_entry(self):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 1] = np.inf
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            LocalOperator.unitary(matrix)
+
     def test_basis_permutation_matrix(self):
         op = LocalOperator.basis_permutation([1, 2, 0])
         target = np.zeros((3, 3))

@@ -128,6 +128,12 @@ class TestPairDeficit:
         with pytest.raises(ValueError):
             pair_deficit(PureState(SystemShape(1, 2), {(0,): 1.0}))
 
+    def test_requires_a_normalized_state(self, bell):
+        with pytest.raises(ValueError, match="state norm is"):
+            pair_deficit(bell.scaled(2.0))
+        with pytest.raises(ValueError, match="state norm is"):
+            is_k_uniform(bell.scaled(2.0), 1)
+
 
 class TestIsAme:
     def test_pair_and_qutrit_singlets_are_maximal(self, bell, qutrit):
