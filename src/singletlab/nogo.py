@@ -16,7 +16,7 @@ arithmetic; the numerical checker replays both facts on sampled states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -134,30 +134,20 @@ def certify(shape: SystemShape) -> NoGoCertificate:
     n, d = shape.n, shape.d
     pairs = comb(n, 2)
     required = Fraction(pairs, d)
-    if not shape.divisible:
-        return NoGoCertificate(
-            n=n,
-            d=d,
-            divisible=False,
-            copies=None,
-            required=required,
-            actual=None,
-            gap=None,
-            deficit_floor=None,
-            two_uniform_possible=False,
-            ame_possible=False,
-            verdict=(
-                f"d={d} does not divide n={n}: no multi-index can occupy every "
-                "label equally, so no collectively invariant states exist."
-            ),
-        )
-    copies = shape.copies
-    actual = d * Fraction(comb(copies, 2))
-    gap = required - actual
-    floor = gap * gap / (d * pairs) if pairs else Fraction(0)
+    copies = actual = gap = floor = None
+    if shape.divisible:
+        copies = shape.copies
+        actual = d * Fraction(comb(copies, 2))
+        gap = required - actual
+        floor = gap * gap / (d * pairs) if pairs else Fraction(0)
     two_uniform_possible = gap == 0
-    ame_possible = n <= 3 or two_uniform_possible
-    if d == 1:
+    ame_possible = shape.divisible and (n <= 3 or two_uniform_possible)
+    if not shape.divisible:
+        verdict = (
+            f"d={d} does not divide n={n}: no multi-index can occupy every "
+            "label equally, so no collectively invariant states exist."
+        )
+    elif d == 1:
         verdict = (
             "Degenerate single-level system: the only invariant state is the "
             "product state and every marginal is trivially maximally mixed; "
@@ -178,7 +168,7 @@ def certify(shape: SystemShape) -> NoGoCertificate:
     return NoGoCertificate(
         n=n,
         d=d,
-        divisible=True,
+        divisible=shape.divisible,
         copies=copies,
         required=required,
         actual=actual,
@@ -320,11 +310,4 @@ def certificate_to_dict(certificate: NoGoCertificate) -> dict:
 
 
 def check_to_dict(check: CertificateCheck) -> dict:
-    return {
-        "trials": check.trials,
-        "seed": check.seed,
-        "max_identity_residual": check.max_identity_residual,
-        "min_pair_deficit": check.min_pair_deficit,
-        "deficit_floor": check.deficit_floor,
-        "passed": check.passed,
-    }
+    return asdict(check)

@@ -333,6 +333,16 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
     return SingletBasis._from_arrays(shape, tol, digits, amplitudes)
 
 
+def _dense_for_sampling(state: PureState, samples: int, tol: float) -> np.ndarray:
+    """Dense ``d**n`` vector of a normalized state about to be measured ``samples`` times."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    if not state.is_normalized(tol):
+        raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
+    _check_dense_memory(state.shape)
+    return state.to_dense()
+
+
 def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> float:
     """Worst residual of phase covariance over Haar-sampled unitaries.
 
@@ -345,18 +355,12 @@ def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> flo
     :class:`MemoryError` before allocating when about ``64 * d**n`` bytes
     (four dense vectors) exceed the available memory.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    if not state.is_normalized(DEFAULT_TOL):
-        raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
+    psi = _dense_for_sampling(state, samples, DEFAULT_TOL)
     n, d = state.shape.n, state.shape.d
-    _check_dense_memory(state.shape)
-    psi = state.to_dense()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        op = LocalOperator.unitary(haar_unitary(d, rng))
-        image = _local_image(psi, op.matrix, n, d)
+        image = _local_image(psi, haar_unitary(d, rng), n, d)
         phase = np.vdot(psi, image)
         worst = max(worst, float(np.linalg.norm(image - phase * psi)))
     return worst
@@ -401,13 +405,8 @@ def extract_phase_function(
     :class:`MemoryError` before allocating when about ``64 * d**n``
     bytes (four dense vectors) exceed the available memory.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    if not state.is_normalized(tol):
-        raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
+    psi = _dense_for_sampling(state, samples, tol)
     n, d = state.shape.n, state.shape.d
-    _check_dense_memory(state.shape)
-    psi = state.to_dense()
     weights = _weights(d, n)
     residual = 0.0
     sign: int | None = None
@@ -439,8 +438,7 @@ def extract_phase_function(
         u = haar_unitary(d, rng)
         det_arg = cmath.phase(complex(np.linalg.det(u)))
         u = u * cmath.exp(1j * (target - det_arg) / d)
-        op = LocalOperator.unitary(u)
-        overlap = complex(np.vdot(psi, _local_image(psi, op.matrix, n, d)))
+        overlap = complex(np.vdot(psi, _local_image(psi, u, n, d)))
         if abs(abs(overlap) - 1.0) > max(tol, 1e-10) * 10:
             raise PhaseFunctionError(
                 f"state is not phase-covariant: |overlap| = {abs(overlap):.12g}"

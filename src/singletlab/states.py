@@ -432,8 +432,6 @@ def joint_amplitudes(states: Sequence[PureState]) -> tuple[np.ndarray, np.ndarra
     lexicographic order, and per state a row of its amplitudes on them.
     """
     shape = _common_shape(states)
-    if len(states) == 1:
-        return states[0].digits, states[0].values[None, :]
     digits = np.concatenate([state.digits for state in states])
     inverse, first = _group_rows(digits, shape.d)
     owner = np.repeat(np.arange(len(states)), [state.values.size for state in states])
@@ -473,14 +471,14 @@ class LocalOperator:
 
     @classmethod
     def unitary(cls, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> "LocalOperator":
-        """Wrap a general unitary; unitarity is checked to ``tol``."""
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+        """Wrap a unitary checked to ``tol``; a non-finite matrix fails with defect ``inf``."""
+        op = cls(matrix, _KIND_GENERAL)
+        defect = np.inf
+        if np.isfinite(op.matrix).all():
+            defect = np.abs(op.matrix.conj().T @ op.matrix - np.eye(op.d)).max()
         if not defect <= tol:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e} > tol {tol:.1e})")
-        return cls(mat, _KIND_GENERAL)
+        return op
 
     @classmethod
     def basis_permutation(cls, mapping: Sequence[int]) -> "LocalOperator":
@@ -502,24 +500,11 @@ class LocalOperator:
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given in one-line notation ``k -> perm[k]``."""
+    """Sign of the permutation ``k -> perm[k]`` (one-line notation), by inversion parity."""
     perm = tuple(perm)
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def _memory_limit() -> int:
@@ -675,10 +660,6 @@ class MarginalMatrix:
             raise ValueError(f"marginal on {self.sites} must be {dim}x{dim}, got {matrix.shape}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def entry(self, row: Sequence[int], col: Sequence[int]) -> complex:
         """Matrix element between two subsystem multi-indices."""
