@@ -23,6 +23,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import permutations
 from typing import Sequence
 
@@ -248,6 +249,8 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     per_entry = 4 * 8 + (500 + 8 * shape.n if document else 0)
     need = support * (48 + 16 * shape.n) + dimension * support * per_entry
     what = "the basis and its JSON document" if document else "the basis"
+    # Counts past 10**15 read in scientific notation; Decimal holds those a float cannot.
+    support, dimension = (f"{Decimal(x):.3e}" if x > 10**15 else x for x in (support, dimension))
     _require_memory(need, f"{what} at shape {shape} (support {support}, dimension {dimension})")
 
 

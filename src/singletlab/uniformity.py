@@ -11,9 +11,20 @@ positive value quantifies how far away the state sits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
-from .states import DEFAULT_TOL, PureState, _pair_sums, _require_normalized, partial_trace
+# ``partial_trace`` is no longer called here; perfbench's tracer wraps this binding.
+from .states import (
+    DEFAULT_TOL,
+    PureState,
+    _marginal_blocks,
+    _pair_sums,
+    _require_memory,
+    _require_normalized,
+    _uniform_deviations,
+    partial_trace,
+)
 
 __all__ = [
     "UniformityReport",
@@ -31,8 +42,9 @@ class UniformityReport:
     ``deviations`` lists ``(sites, squared Frobenius deviation)`` for
     every size-``k`` subsystem in lexicographic order; ``deficit`` is
     their sum and ``worst_subsystem`` the lexicographically first one
-    within ``tolerance`` of the largest deviation, so that exact ties (at
-    ``k = n/2`` each subsystem ties with its complement) survive roundoff.
+    within ``tolerance`` of the largest deviation.  At ``k = n/2`` each
+    subsystem's deviation is its complement's, the same float, so the
+    first of each tied pair is the one holding site 0.
     """
 
     k: int
@@ -58,14 +70,42 @@ def is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> Uniformi
     tol : float
         The state is declared k-uniform when the summed deviation stays
         at or below this.
+
+    Notes
+    -----
+    A pure state's marginals on ``A`` and on its complement share their
+    purity ``P``, and the deviation on ``X`` is ``P - (2 N - 1) / D_X``
+    with ``N`` the squared norm and ``D_X`` the marginal's dimension.  So
+    each marginal is formed on the smaller side of its cut, and at
+    ``k = n/2`` only for the subsystems that hold site 0.  The complement
+    of ``combinations(range(n), k)[i]`` is
+    ``combinations(range(n), n - k)[-1 - i]``.
     """
-    n = state.shape.n
+    n, d = state.shape.n, state.shape.d
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1 = {n - 1}, got k={k}")
-    deviations = []
-    for sites in combinations(range(n), k):
-        marginal = partial_trace(state, sites, tol)
-        deviations.append((sites, marginal.uniform_deviation()))
+    _require_normalized(state, tol)
+    side = min(k, n - k)
+    block = d ** (2 * side)
+    factor = d**side * min(state.values.size, d ** (n - side))
+    # The factor and its conjugate beside the block, then the block, its
+    # difference from I / dim and two real temporaries of the deviation.
+    _require_memory(
+        16 * (2 * factor + 3 * block), f"a {side}-site marginal of n={n} sites with d={d} levels"
+    )
+    formed = combinations(range(n), side)
+    if 2 * k == n:
+        formed = islice(formed, comb(n, k) // 2)
+    values = [
+        float(_uniform_deviations(_marginal_blocks(state.digits, state.values[None], sites, d))[0])
+        for sites in formed
+    ]
+    if 2 * k == n:
+        values += values[::-1]
+    elif k > side:
+        shift = (2 * state.norm() ** 2 - 1) * (d**-side - d**-k)
+        values = [value + shift for value in reversed(values)]
+    deviations = list(zip(combinations(range(n), k), values))
     deficit = sum(dev for _, dev in deviations)
     top = max(dev for _, dev in deviations)
     worst = next(sites for sites, dev in deviations if dev >= top - tol)

@@ -12,8 +12,12 @@ from singletlab import (
     is_ame,
     is_k_uniform,
     pair_deficit,
+    partial_trace,
     report_to_dict,
+    save_state,
+    states,
 )
+from singletlab.cli import main
 
 from conftest import dense_uniform_deviation, random_dense_state
 
@@ -82,6 +86,95 @@ class TestIsKUniform:
         product = PureState(SystemShape(2, 2), {(0, 0): 1.0})
         assert not is_k_uniform(product, 1, tol=1e-9).is_uniform
         assert is_k_uniform(product, 1, tol=10.0).is_uniform
+
+
+def per_subset_deviations(state, k):
+    """One ``partial_trace`` per size-``k`` subsystem, in lexicographic order."""
+    return [
+        (sites, partial_trace(state, sites).uniform_deviation())
+        for sites in itertools.combinations(range(state.shape.n), k)
+    ]
+
+
+def singlet_pairs(pairs):
+    """Product of two-site singlets on sites (0, 1), (2, 3), ..., every amplitude +-2**(-pairs / 2)."""
+    return PureState(
+        SystemShape(2 * pairs, 2),
+        {
+            sum(word, ()): (-1) ** sum(first for first, _ in word) * 2.0 ** (-pairs / 2)
+            for word in itertools.product([(0, 1), (1, 0)], repeat=pairs)
+        },
+    )
+
+
+class TestSmallerSide:
+    """Each marginal is formed on the smaller side of its cut and mapped back."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_complements_come_in_reverse_order(self, n):
+        for k in range(1, n):
+            smaller = list(itertools.combinations(range(n), n - k))
+            for i, sites in enumerate(itertools.combinations(range(n), k)):
+                assert set(sites) | set(smaller[-1 - i]) == set(range(n))
+                assert not set(sites) & set(smaller[-1 - i])
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (7, 2), (6, 3), (4, 3)])
+    def test_matches_the_per_subset_loop(self, n, d):
+        rng = np.random.default_rng(41)
+        tol = 1e-9
+        for _ in range(3):
+            state = random_dense_state(SystemShape(n, d), rng)
+            for k in range(1, n):
+                report = is_k_uniform(state, k, tol)
+                reference = per_subset_deviations(state, k)
+                assert [sites for sites, _ in report.deviations] == [s for s, _ in reference]
+                for (sites, dev), (_, expected) in zip(report.deviations, reference):
+                    if 2 * k <= n:
+                        assert abs(dev - expected) <= 1e-15
+                    else:
+                        assert abs(dev - dense_uniform_deviation(state, sites)) <= 1e-12
+                assert abs(report.deficit - sum(dev for _, dev in reference)) <= 1e-12
+                top = max(dev for _, dev in reference)
+                worst = next(sites for sites, dev in reference if dev >= top - tol)
+                assert report.worst_subsystem == worst
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 3), (6, 3)])
+    def test_half_cut_ties_are_exact(self, n, d):
+        state = random_dense_state(SystemShape(n, d), np.random.default_rng(43))
+        deviations = dict(is_k_uniform(state, n // 2).deviations)
+        for sites, dev in deviations.items():
+            complement = tuple(site for site in range(n) if site not in sites)
+            assert dev == deviations[complement]
+
+    def test_singlet_pairs_exact_at_one_and_fifteen_sites(self):
+        state = singlet_pairs(8)
+        assert is_k_uniform(state, 1).deficit == 0.0
+        report = is_k_uniform(state, 15)
+        assert report.deficit == 16 * (1 / 2 - 2**-15) == 7.99951171875
+        assert report.worst_subsystem == tuple(range(15))
+        assert not report.is_uniform
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_unnormalized_state_is_refused_on_either_side(self, k):
+        state = random_dense_state(SystemShape(6, 2), np.random.default_rng(47)).scaled(1.5)
+        with pytest.raises(ValueError, match="state norm is 1.5, expected 1"):
+            is_k_uniform(state, k)
+
+    def test_a_block_that_cannot_fit_is_refused(self, monkeypatch, tmp_path, capsys):
+        state = singlet_pairs(3)
+        path = str(tmp_path / "pairs.json")
+        save_state(state, path)
+        # The 8x8 three-site block prices at 16 * (2 * 64 + 3 * 64) bytes.
+        monkeypatch.setattr(states, "_memory_limit", lambda: 16 * 5 * 64 - 1)
+        with pytest.raises(MemoryError, match="a 3-site marginal of n=6 sites with d=2 levels"):
+            is_k_uniform(state, 3)
+        # Four sites are priced on their two-site complement: a singlet pair
+        # deviates by 3/4, any other pair by 0, and the cut shifts each by 3/16.
+        assert is_k_uniform(state, 4).deficit == pytest.approx(3 * 3 / 4 + 15 * 3 / 16)
+        assert main(["uniformity", "--state", path, "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a 3-site marginal of n=6 sites")
+        assert captured.out == ""
 
 
 class TestPairDeficit:
