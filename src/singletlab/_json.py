@@ -10,10 +10,11 @@ stdlib encoder would otherwise coerce to strings.
 
 One rule lets basis and state files be written without building the
 dict per amplitude of their dict forms: the *last* value of a document
-may be an iterator of JSON texts, and it stands for the list of those
-texts.  :func:`amplitude_lists` gives such an iterator of entry texts
-for each row of an amplitude matrix (a basis, or one state), and a
-basis's ``"states"`` value is an iterator of member texts, each the
+may be an iterator of texts, each holding comma-separated list items,
+and it stands for the list of all those items.  :func:`amplitude_lists`
+gives, for each row of an amplitude matrix (a basis, or one state), an
+iterator of one text holding all of that row's entries.  A basis's
+``"states"`` value is an iterator of member texts, each the
 :func:`encode` of one state document.  :func:`dump` checks and encodes
 every other value before it opens the file, then writes the texts one
 at a time, so a basis is held one member at a time.  The bytes are those
@@ -32,11 +33,6 @@ __all__ = ["amplitude_lists", "encode", "dumps", "dump", "load"]
 
 _LEAVES = frozenset({str, int, float, bool, type(None)})
 
-# One amplitude entry, as the stdlib encoder writes {"index": [...], "re": x, "im": y}:
-# ``str`` of a list of ints is its JSON, and ``%r`` of a float is ``float.__repr__``,
-# the function the encoder itself calls.
-_ENTRY = '{"index": %s, "re": %r, "im": %r}'
-
 
 def _check_keys(obj: Any) -> None:
     if isinstance(obj, dict):
@@ -52,26 +48,46 @@ def _check_keys(obj: Any) -> None:
             _check_keys(item)
 
 
+def _texts(values: np.ndarray, form: str) -> np.ndarray:
+    """``form % value`` for each float in ``values``, made once per distinct value.
+
+    Values are told apart by their bits, not by ``==``, so ``0.0`` and
+    ``-0.0`` keep their own texts.
+    """
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    return np.array(list(map(form.__mod__, values[first].tolist())), dtype=object)[inverse]
+
+
 def amplitude_lists(rows: np.ndarray, amplitudes: np.ndarray) -> Iterator[Iterator[str]]:
-    """The entry texts of each row of an amplitude matrix, one iterator per row.
+    """The entries of each row of an amplitude matrix, as one text per row.
 
     ``rows`` holds distinct index rows, and state ``k`` stores the index
     ``rows[i]`` with amplitude ``amplitudes[k, i]`` wherever that is
-    nonzero.  Each row's text is made once and shared by every state
-    that stores it; a state's entries are made only when it is reached.
-    A non-finite amplitude raises the stdlib encoder's ``ValueError``
-    here, before any file is opened.
+    nonzero; the stdlib encoder writes that entry as
+    ``{"index": [...], "re": x, "im": y}``.  Each row's text up to ``x``
+    is made once and shared by every state that stores it.  A state's
+    text is made only when it is reached: each distinct real and
+    imaginary part is formatted once (``%r`` of a float is
+    ``float.__repr__``, the function the encoder itself calls), and the
+    three pieces of every entry are joined in one call.  A non-finite
+    amplitude raises the stdlib encoder's ``ValueError`` here, before
+    any file is opened.
     """
     bad = amplitudes[~np.isfinite(amplitudes)]
     if bad.size:
         # The stdlib encoder raises its own error on the first one.
         json.dumps([float(bad[0].real), float(bad[0].imag)], allow_nan=False)
-    table = np.array([str(row) for row in rows.tolist()], dtype=object)
+    # ``str`` of a list of ints is its JSON.
+    heads = np.array([', {"index": %s, "re": ' % row for row in rows.tolist()], dtype=object)
 
     def entries(vector: np.ndarray) -> Iterator[str]:
         kept = np.flatnonzero(vector)
-        columns = table[kept].tolist(), vector.real[kept].tolist(), vector.imag[kept].tolist()
-        return map(_ENTRY.__mod__, zip(*columns))
+        pieces = np.empty((kept.size, 3), dtype=object)
+        pieces[:, 0] = heads[kept]
+        pieces[:, 1] = _texts(vector.real[kept], "%r")
+        pieces[:, 2] = _texts(vector.imag[kept], ', "im": %r}')
+        # Dropping the first head's ", " leaves the entries joined as a list's items.
+        return iter(("".join(pieces.ravel().tolist())[2:],))
 
     return map(entries, amplitudes)
 

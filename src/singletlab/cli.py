@@ -53,7 +53,8 @@ def _write(document: dict, path: str | None) -> None:
 def cmd_subspace(args: argparse.Namespace) -> int:
     shape = SystemShape(args.n, args.d)
     # The estimate counts the artifact as the per-amplitude dicts of
-    # basis_to_dict, more than save_basis holds; see check_memory.
+    # basis_to_dict, more than save_basis holds (one member's piece table
+    # and distinct float texts at a time); see check_memory.
     check_memory(shape, document=True)
     basis = build_singlet_basis(shape, args.tol)
     print(f"n: {shape.n}")

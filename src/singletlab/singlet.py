@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import permutations
@@ -237,9 +238,12 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
     the artifact of :func:`basis_to_dict` and its JSON text: a dict, an
     ``n``-entry index list and two floats per amplitude, about
     ``300 + 8 n`` bytes, and up to 200 bytes more while encoding.
-    :func:`save_basis` builds no such dicts and holds the text of one
-    member at a time, so that term over-counts what ``subspace`` uses;
-    it is kept because it is what refuses (12,3) before the build.
+    :func:`save_basis` builds no such dicts: it holds one text per
+    support row and, one member at a time, that member's piece table
+    (three references per stored amplitude), the texts of its distinct
+    real and imaginary parts and its joined text, so that term
+    over-counts what ``subspace`` uses; it is kept because it is what
+    refuses (12,3) before the build.
     Shapes ``d`` does not divide build nothing and always pass.
     """
     if not shape.divisible:
@@ -543,14 +547,18 @@ def basis_from_dict(obj: dict) -> SingletBasis:
     """Parse the JSON-dict form back into a basis.
 
     ``n``, ``d`` and ``dimension`` must be JSON integers and
-    ``tolerance`` a JSON number; other values are rejected, not
-    converted.
+    ``tolerance`` a finite, nonnegative JSON number (the rule ``--tol``
+    keeps); other values are rejected, not converted.
     """
     try:
         shape = SystemShape(_integer_field(obj, "n"), _integer_field(obj, "d"))
-        if type(obj["tolerance"]) not in (int, float):
-            raise TypeError(f"'tolerance' must be a number, got {obj['tolerance']!r}")
-        tol = float(obj["tolerance"])
+        tol = obj["tolerance"]
+        if type(tol) not in (int, float):
+            raise TypeError(f"'tolerance' must be a number, got {tol!r}")
+        # Compared exactly, NaN, the infinities and ints past every float all fail.
+        if not 0 <= tol <= sys.float_info.max:
+            raise ValueError(f"'tolerance' must be finite and >= 0, got {tol!r}")
+        tol = float(tol)
         states = tuple(state_from_dict(entry) for entry in obj["states"])
         dimension = _integer_field(obj, "dimension")
         if dimension != len(states):
@@ -564,7 +572,8 @@ def save_basis(basis: SingletBasis, path: str, seed: int = 0, phase: str | None 
     """Write the file whose text is ``_json.dumps(basis_to_dict(basis, seed))``.
 
     Members are encoded from the support and amplitude matrix, with each
-    index row's text made once, and written one at a time.
+    index row's text made once and each member's distinct amplitude
+    parts formatted once, and written one at a time.
     ``phase`` is the :func:`measure_phase` of the basis when the caller
     has it already; otherwise it is measured here.
     """

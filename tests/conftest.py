@@ -7,6 +7,7 @@ sparse implementations are checked against an independent computation.
 
 import itertools
 import os
+import re
 import resource
 
 import numpy as np
@@ -15,6 +16,18 @@ import pytest
 from singletlab import PureState, SystemShape, fixtures, load_state
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+# JSON literals the parser reads as NaN, inf, a negative number and an
+# integer no float holds.
+BAD_TOLERANCES = ["NaN", "Infinity", "1e400", "-1", pytest.param("1" + "0" * 400, id="10**400")]
+
+
+def with_tolerance(path, literal):
+    """The text of the basis file at ``path`` with ``literal`` as its tolerance."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return re.sub(r'"tolerance": [^,\n]*', '"tolerance": ' + literal, text, count=1)
 
 
 def dense_marginal(state, sites):

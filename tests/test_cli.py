@@ -19,7 +19,7 @@ from singletlab import (
 from singletlab import _json, cli, fixtures
 from singletlab.cli import main
 
-from conftest import DATA_DIR
+from conftest import BAD_TOLERANCES, DATA_DIR, with_tolerance
 
 RING6 = os.path.join(DATA_DIR, "graph_state_ring6.json")
 
@@ -181,6 +181,16 @@ class TestVerify:
             json.dump(payload, handle)
         assert main(["verify", "--basis", path, "--trials", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: d=2 does not divide n=3")
+
+    @pytest.mark.parametrize("literal", BAD_TOLERANCES)
+    def test_tolerance_that_is_not_finite_and_nonnegative_exits_2(
+        self, tmp_path, capsys, literal
+    ):
+        path = str(tmp_path / "basis.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(with_tolerance(os.path.join(DATA_DIR, "basis_6_3.json"), literal))
+        assert main(["verify", "--basis", path, "--trials", "2"]) == 2
+        assert "malformed basis document: 'tolerance' must be" in capsys.readouterr().err
 
     def test_replay_too_large_exits_2(self, tmp_path, capsys, address_space_cap):
         path = str(tmp_path / "basis_8_4.json")

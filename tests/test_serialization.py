@@ -21,7 +21,7 @@ from singletlab import (
 )
 from singletlab import _json
 
-from conftest import DATA_DIR, random_dense_state
+from conftest import BAD_TOLERANCES, DATA_DIR, random_dense_state, with_tolerance
 
 
 class TestJsonWriter:
@@ -242,6 +242,14 @@ class TestStrictShapeFields:
         document["tolerance"] = 0
         basis = basis_from_dict(document)
         assert basis.tolerance == 0.0 and type(basis.tolerance) is float
+
+    @pytest.mark.parametrize("literal", BAD_TOLERANCES)
+    def test_tolerance_that_is_not_finite_and_nonnegative_is_rejected(self, tmp_path, literal):
+        path = str(tmp_path / "basis.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(with_tolerance(os.path.join(DATA_DIR, "basis_6_3.json"), literal))
+        with pytest.raises(ValueError, match="malformed basis document: 'tolerance' must be"):
+            load_basis(path)
 
     @pytest.mark.parametrize("name", ["basis_8_2.json", "basis_6_3.json"])
     def test_pinned_files_still_load(self, name):
