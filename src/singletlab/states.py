@@ -19,7 +19,10 @@ marginals, is built on the handful of primitives defined here:
   of the package uses.  Every marginal comes from one kernel that
   scatters amplitudes into a (subsystem index) x (complement row)
   factor ``F``.  A state's own marginal is ``F @ F^H``; only
-  :func:`cross_marginal` forms cross blocks ``X @ Y^H``.  No ``d**n``
+  :func:`cross_marginal` forms cross blocks ``X @ Y^H``.  The
+  k-uniformity deviations take a chunk of subsets at once and split
+  ``F`` by the kept sites' occupation numbers, forming only the
+  diagonal blocks of a state with one support profile.  No ``d**n``
   vector is formed.
 
 Sites are indexed ``0 .. n-1`` and levels are labeled ``0 .. d-1``
@@ -36,7 +39,7 @@ import resource
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from types import MappingProxyType
 
 import numpy as np
@@ -739,6 +742,183 @@ def _pair_sums(
         deficit += _uniform_deviations(blocks)
         swaps[:, position] = np.einsum("tijji->t", blocks.reshape(-1, d, d, d, d)).real
     return mass, deficit, swaps
+
+
+#: Bytes one chunk of :func:`_marginal_deviations` may take, each subset
+#: priced as its dense marginal plus its codes and index arrays.
+_CHUNK_BYTES = 4 << 20
+
+
+def _kept_sectors(
+    state: PureState, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sector of each ``k``-site code, its rank inside the sector, and each sector's shape.
+
+    With a common support profile ``P`` a sector holds the codes of one
+    occupation profile ``p``, and the columns of its factor are the
+    complement rows of profile ``P - p``: at most the stored rows and at
+    most the words of that profile.  Without one, every code is in one
+    sector whose columns are every complement row.  Ranks keep the
+    lexicographic order of the codes.
+    """
+    n, d, count = state.shape.n, state.shape.d, state.values.size
+    profile = state.common_profile()
+    codes = np.arange(d**k)
+    if profile is None:
+        sector = np.zeros(d**k, dtype=np.intp)
+        width = [min(count, d ** (n - k))]
+    else:
+        labels = codes[:, None] // _weights(d, k) % d
+        counts = np.sum(labels[:, :, None] == np.arange(d), axis=1)
+        kinds, sector = np.unique(counts, axis=0, return_inverse=True)
+        sector = sector.reshape(-1)  # flat in every numpy version
+        width = [
+            min(count, SupportProfile(rest).size()) if rest.min() >= 0 else 0
+            for rest in np.array(profile.counts) - kinds
+        ]
+    rows = np.bincount(sector)
+    rank = np.empty(d**k, dtype=np.intp)
+    rank[np.argsort(sector, kind="stable")] = codes - np.repeat(np.cumsum(rows) - rows, rows)
+    return sector, rank, rows, np.array(width, dtype=np.intp)
+
+
+def _sort_rows(
+    codes: np.ndarray, sector: np.ndarray, spread: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort each subset's stored rows by sector, then by complement row.
+
+    ``codes[0]`` holds the kept code and ``codes[1:]`` the complement
+    words of every (subset, stored row); the first word is overwritten
+    with the row's sector in front, ``spread`` being its place value.
+    Returns the sort order, the kept codes in that order and whether
+    each sorted row starts a new complement row.  Kept apart from
+    :func:`_sector_factors` so that the codes are freed before the
+    factors are laid out.
+    """
+    words, m, count = len(codes) - 1, codes.shape[1], codes.shape[2]
+    codes[1] += sector[codes[0].astype(np.intp)] * spread
+    order = np.argsort(codes[1], axis=1) if words == 1 else np.lexsort(codes[:0:-1], axis=1)
+    codes = codes.reshape(1 + words, -1)[:, (order + np.arange(m)[:, None] * count).ravel()]
+    codes = codes.reshape(1 + words, m, count)
+    fresh = np.ones((m, count), dtype=bool)
+    fresh[:, 1:] = np.any(codes[1:, :, 1:] != codes[1:, :, :-1], axis=0)
+    return order, codes[0].astype(np.intp), fresh
+
+
+def _sector_factors(
+    codes: np.ndarray,
+    values: np.ndarray,
+    sector: np.ndarray,
+    rank: np.ndarray,
+    rows: np.ndarray,
+    width: np.ndarray,
+    spread: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every sector factor of a chunk of subsets, side by side in one flat array.
+
+    ``codes`` and ``spread`` are as :func:`_sort_rows` takes them, the
+    sector arrays as :func:`_kept_sectors` gives them.  The distinct
+    complement rows of a sector, in order, are its factor's first
+    columns.  Returns the factors and each sector's offset: sector ``p``
+    of subset ``s`` is the ``rows[p] x width[p]`` matrix at
+    ``starts[p] + s * rows[p] * width[p]``.
+    """
+    order, kept, fresh = _sort_rows(codes, sector, spread)
+    m = len(kept)
+    each = np.arange(m)[:, None]
+    spans = m * rows * width
+    starts = np.cumsum(spans) - spans
+    distinct = np.bincount((each * rows.size + sector[kept])[fresh], minlength=m * rows.size)
+    distinct = distinct.reshape(m, -1)
+    # A row's column counts the distinct complement rows up to its own,
+    # less those of the subset's earlier sectors.
+    earlier = np.cumsum(distinct, axis=1) - distinct + 1
+    offsets = starts[sector] + (rank + each * rows[sector]) * width[sector] - earlier[:, sector]
+    index = np.cumsum(fresh, axis=1)
+    index += offsets[each, kept]
+    factors = np.zeros(spans.sum(), dtype=complex)
+    factors[index] = values[order]
+    return factors, starts
+
+
+def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> np.ndarray:
+    """Squared Frobenius distance to ``I / d**k`` of a normalized state's marginal on each subset.
+
+    ``subsets`` yields nonempty ascending site tuples, all of one size
+    ``k``, and is read one chunk at a time.
+
+    When every stored row has the occupation profile ``P``, a kept row
+    of profile ``p`` meets only complement rows of profile ``P - p``, so
+    each marginal is block-diagonal in ``p`` and only the blocks
+    ``F_p @ F_p^H`` are formed; otherwise the whole marginal is one
+    block.  The off-block entries are exact zeros, so each deviation is
+    still the entrywise sum over the blocks.
+
+    The first subset is priced as its dense marginal and refused with
+    :class:`MemoryError` when that cannot fit, before any other is read.
+    The subsets then go in chunks of at most :data:`_CHUNK_BYTES`, one
+    subset when less is available.  A chunk's kept and complement codes come from one
+    float product of the digits with the subsets' place values, exact
+    because every word stays below ``2**52``.  One sort per subset
+    numbers its distinct complement rows, sector by sector, one fancy
+    assignment fills every factor, and each sector is one batched
+    ``matmul``.
+    """
+    n, d = state.shape.n, state.shape.d
+    count = state.values.size
+    subsets = iter(subsets)
+    first = next(subsets)
+    k = len(first)
+    dim = d**k
+    need = 16 * (2 * dim * min(count, d ** (n - k)) + 3 * dim**2)
+    # The factor and its conjugate beside the block, then the block, its
+    # difference from I / dim and two real temporaries of the deviation.
+    _require_memory(need, f"a {k}-site marginal of n={n} sites with d={d} levels")
+    sector, rank, rows, width = _kept_sectors(state, k)
+    # Complement digits per word, leaving room for the sector in front of
+    # the first word; the factor 2 below 2**53 covers the rounded log2.
+    step = max(1, n - k if d == 1 else int((52 - math.log2(rows.size)) // math.log2(d)))
+    words = max(1, -(-(n - k) // step))
+    spread = float(d ** min(step, n - k))
+    # Per subset: its place values and codes, then about a dozen
+    # support-long index arrays for the sort and the scatter.
+    size = max(
+        1,
+        min(_CHUNK_BYTES, _memory_limit())
+        // (need + 8 * (words + 1) * n + 8 * (words + 12) * count),
+    )
+    columns = state.digits.T.astype(float)
+    deviations = []
+    subsets = chain([first], subsets)
+    for chunk in iter(lambda: list(islice(subsets, size)), []):
+        sites = np.array(chunk, dtype=np.intp)
+        m = len(sites)
+        each = np.arange(m)[:, None]
+        rest = np.ones((m, n), dtype=bool)
+        rest[each, sites] = False
+        rest = np.nonzero(rest)[1].reshape(m, n - k)
+        places = np.zeros((1 + words, m, n))
+        places[0, each, sites] = _weights(d, k)
+        for word in range(words):
+            part = rest[:, word * step : (word + 1) * step]
+            places[1 + word, each, part] = _weights(d, part.shape[1])
+        factors, starts = _sector_factors(
+            (places.reshape(-1, n) @ columns).reshape(1 + words, m, count),
+            state.values,
+            sector,
+            rank,
+            rows,
+            width,
+            spread,
+        )
+        total = np.zeros(m)
+        for start, r, c in zip(starts, rows, width):
+            factor = factors[start : start + m * r * c].reshape(m, r, c)
+            block = factor @ factor.conj().transpose(0, 2, 1)
+            block.reshape(m, -1)[:, :: r + 1] -= 1 / dim
+            total += np.sum(np.abs(block) ** 2, axis=(1, 2))
+        deviations.append(total)
+    return np.concatenate(deviations)
 
 
 def cross_marginal(

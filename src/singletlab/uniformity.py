@@ -6,23 +6,28 @@ holds at ``k = n // 2``.  The diagnostics here report squared Frobenius
 deviations from the maximally mixed marginal, summed over subsystems,
 so a deficit of zero (within tolerance) is the uniform case and any
 positive value quantifies how far away the state sits.
+
+The no-go's states have balanced support: every stored multi-index
+holds each label ``n / d`` times.  A kept row of occupation profile
+``p`` then shares complement rows only with kept rows of the same
+profile, so every ``k``-site marginal is block-diagonal in the kept
+sites' occupation numbers.  :func:`is_k_uniform` forms only those
+diagonal blocks, one occupation sector at a time, for a chunk of
+subsets per batched product; the chunk is held to a fixed byte budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations
 
 # ``partial_trace`` is no longer called here; perfbench's tracer wraps this binding.
 from .states import (
     DEFAULT_TOL,
     PureState,
-    _marginal_blocks,
+    _marginal_deviations,
     _pair_sums,
-    _require_memory,
     _require_normalized,
-    _uniform_deviations,
     partial_trace,
 )
 
@@ -80,26 +85,30 @@ def is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> Uniformi
     ``k = n/2`` only for the subsystems that hold site 0.  The complement
     of ``combinations(range(n), k)[i]`` is
     ``combinations(range(n), n - k)[-1 - i]``.
+
+    When every stored multi-index has the same occupation profile ``P``,
+    as balanced support guarantees, a kept row of profile ``p`` meets
+    only complement rows of profile ``P - p``.  Each marginal is then
+    block-diagonal in ``p``, and only its diagonal blocks
+    ``B_p = F_p @ F_p^H`` are formed; a state with several profiles has
+    one block.  The deviation stays entrywise, the sum over ``p`` of
+    ``||B_p - I / D||^2``, because the entries between sectors are exact
+    zeros; a maximally mixed marginal still reads about ``1e-33``, not
+    the roundoff of ``P - (2 N - 1) / D``.  The subsets go through in
+    chunks held to a fixed byte budget, down to one subset when the
+    memory limit is lower; a subset whose dense marginal could not fit
+    is refused with :class:`MemoryError` before any work.
     """
     n, d = state.shape.n, state.shape.d
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1 = {n - 1}, got k={k}")
     _require_normalized(state, tol)
     side = min(k, n - k)
-    block = d ** (2 * side)
-    factor = d**side * min(state.values.size, d ** (n - side))
-    # The factor and its conjugate beside the block, then the block, its
-    # difference from I / dim and two real temporaries of the deviation.
-    _require_memory(
-        16 * (2 * factor + 3 * block), f"a {side}-site marginal of n={n} sites with d={d} levels"
-    )
     formed = combinations(range(n), side)
     if 2 * k == n:
-        formed = islice(formed, comb(n, k) // 2)
-    values = [
-        float(_uniform_deviations(_marginal_blocks(state.digits, state.values[None], sites, d))[0])
-        for sites in formed
-    ]
+        # The first half of the lexicographic order: the subsystems holding site 0.
+        formed = ((0, *rest) for rest in combinations(range(1, n), side - 1))
+    values = _marginal_deviations(state, formed).tolist()
     if 2 * k == n:
         values += values[::-1]
     elif k > side:
