@@ -22,9 +22,11 @@ from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, verify_invariance
+from .singlet import SingletBasis, _invariance_residuals, _random_amplitudes
+# perfbench's tracer wraps verify_invariance through this binding.
+from .singlet import verify_invariance  # noqa: F401
 from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory, _require_normalized
-from .states import _pair_sums as _replay_sums, joint_amplitudes
+from .states import _pair_sums as _replay_sums, _require_unit_norm
 # perfbench's tracer wraps partial_trace through this binding.
 from .states import partial_trace  # noqa: F401
 # The floor bounds pair_deficit; perfbench's tracer wraps it through this binding.
@@ -78,27 +80,31 @@ def _werner_form(s: np.ndarray, d: int) -> np.ndarray:
     return np.sum((d * s**2 - 2 * s + d) / (d * (d * d - 1)) - 1.0 / d**2, axis=1)
 
 
-#: Bytes one batch of replayed trials may hold: their amplitude rows and
-#: states, and one site pair's factors with their conjugate.
+#: Bytes one batch of replayed trials may hold: their amplitude rows on
+#: the whole support and on its used columns, and one site pair's factors
+#: with their conjugate.
 _REPLAY_BYTES = 32 * 2**20
 
 
 def _replay_batch(basis: SingletBasis, trials: int) -> int:
     """Trials per batch of the replay; :class:`MemoryError` when one batch cannot fit.
 
-    A trial costs its amplitude row and its state (about ``(32 + n) S``
-    bytes on a support of ``S`` rows) and, per site pair, a ``d**2 x m``
-    complex factor and its conjugate, with ``m <= S`` complement rows.
-    Batches stay within ``_REPLAY_BYTES`` unless a single trial exceeds
-    it, and are checked against the soft address-space limit when one is
-    set, else physical memory.
+    A trial costs its amplitude row on the support of ``S`` rows and its
+    copy on the columns some trial of the batch uses (``32 S`` bytes),
+    and, per site pair, a ``d**2 x m`` complex factor and its conjugate,
+    with ``m <= S`` complement rows; the batch also holds the used
+    support rows once (``n S`` bytes).  Batches stay within
+    ``_REPLAY_BYTES`` unless a single trial exceeds it, and are checked
+    against the soft address-space limit when one is set, else physical
+    memory.
     """
     n, d = basis.shape.n, basis.shape.d
     support = len(basis.support)
-    per_trial = (32 + n + 32 * d * d) * support
+    per_trial = (32 + 32 * d * d) * support
     batch = max(1, min(trials, _REPLAY_BYTES // per_trial))
     _require_memory(
-        batch * per_trial, f"replaying pair marginals of n={n} sites with d={d} levels"
+        batch * per_trial + n * support,
+        f"replaying pair marginals of n={n} sites with d={d} levels",
     )
     return batch
 
@@ -200,22 +206,29 @@ def verify_certificate_numerically(
 ) -> CertificateCheck:
     """Replay the counting identity and deficit floor on random subspace states.
 
-    First validates that the basis really spans an invariant subspace
-    (balanced supports, orthonormal members, small invariance residual),
-    then draws ``trials`` seeded random combinations and checks that the
-    counting sum matches the certificate's exact value within ``tol``,
-    the pair deficit never drops below the floor minus ``tol``, and the
-    pair deficit equals its Werner form (see :func:`_werner_form`),
-    read from the same marginals, within ``tol``.  Trials are replayed
-    in batches, one batched marginal product per site pair, and checked
-    in trial order.
+    First validates, on ``basis.support`` and ``basis.amplitudes``
+    directly, that the basis really spans an invariant subspace: every
+    member stores at least one row and only balanced rows, the members
+    are orthonormal, and each member's invariance residual over four
+    Haar unitaries drawn from ``default_rng(seed)`` (shared by all
+    members, see :func:`singlet._invariance_residuals`) is small.  Then
+    draws ``trials`` seeded random combinations straight into amplitude
+    rows on the support, the same states :meth:`SingletBasis.random_state`
+    draws, and checks that each is normalized, that the counting sum
+    matches the certificate's exact value within ``tol``, the pair
+    deficit never drops below the floor minus ``tol``, and the pair
+    deficit equals its Werner form (see :func:`_werner_form`), read from
+    the same marginals, within ``tol``.  Trials are replayed in batches,
+    one batched marginal product per site pair on the support columns
+    some trial of the batch uses, and checked in trial order.
 
     Raises :class:`CertificateViolationError` on any failure; for an
     honest basis the bounds hold by construction, so a violation means
     the input does not span the subspace it claims to.  Raises
     :class:`ValueError` when ``d`` does not divide ``n`` and
     :class:`MemoryError`, before any check, when one batch of trials
-    cannot fit in memory.
+    cannot fit in memory, and before the invariance check allocates when
+    one member's dense image cannot.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -226,34 +239,47 @@ def verify_certificate_numerically(
         raise ValueError(f"d={d} does not divide n={n}: no balanced support to replay on")
     batch = _replay_batch(basis, trials)
     certificate = certify(basis.shape)
-    for position, member in enumerate(basis):
-        if not member.has_uniform_support():
-            raise CertificateViolationError(
-                f"basis member {position} does not have balanced support"
-            )
+    balanced = np.ones(len(basis.support), dtype=bool)
+    for label in range(d):
+        balanced &= np.count_nonzero(basis.support == label, axis=1) == n // d
+    stored = basis.amplitudes != 0
+    unbalanced = ~stored.any(axis=1) | stored[:, ~balanced].any(axis=1)
+    if unbalanced.any():
+        raise CertificateViolationError(
+            f"basis member {np.argmax(unbalanced)} does not have balanced support"
+        )
     gram_defect = float(np.abs(basis.gram() - np.eye(basis.dimension)).max())
     if gram_defect > max(tol, 1e-12) * 100:
         raise CertificateViolationError(
             f"basis is not orthonormal (Gram defect {gram_defect:.3e})"
         )
-    for position, member in enumerate(basis):
-        residual = verify_invariance(member, samples=4, seed=seed + position)
-        if residual > max(tol, 1e-12) * 100:
-            raise CertificateViolationError(
-                f"basis member {position} is not collectively invariant "
-                f"(residual {residual:.3e})"
-            )
+    residuals = _invariance_residuals(
+        basis.shape, basis.support, basis.amplitudes, samples=4, seed=seed
+    )
+    failing = residuals > max(tol, 1e-12) * 100
+    if failing.any():
+        position = int(np.argmax(failing))
+        raise CertificateViolationError(
+            f"basis member {position} is not collectively invariant "
+            f"(residual {residuals[position]:.3e})"
+        )
     actual = float(certificate.actual)
     floor = float(certificate.deficit_floor)
     rng = np.random.default_rng(seed)
     worst_identity = 0.0
     least_deficit = float("inf")
     for first in range(0, trials, batch):
-        states = [basis.random_state(rng) for _ in range(min(batch, trials - first))]
-        masses, deficits, swaps = _replay_sums(*joint_amplitudes(states), d)
-        figures = zip(states, masses.tolist(), deficits.tolist(), _werner_form(swaps, d).tolist())
-        for trial, (state, mass, deficit, werner) in enumerate(figures, first):
-            _require_normalized(state, tol)
+        rows = np.zeros((min(batch, trials - first), len(basis.support)), dtype=complex)
+        norms = []
+        for row in rows:
+            kept, values = _random_amplitudes(basis.amplitudes, rng)
+            row[kept] = values
+            norms.append(float(np.linalg.norm(values)))
+        used = np.flatnonzero(rows.any(axis=0))
+        masses, deficits, swaps = _replay_sums(basis.support[used], rows[:, used], d)
+        figures = zip(norms, masses.tolist(), deficits.tolist(), _werner_form(swaps, d).tolist())
+        for trial, (norm, mass, deficit, werner) in enumerate(figures, first):
+            _require_unit_norm(norm, tol)
             identity_residual = abs(mass - actual)
             worst_identity = max(worst_identity, identity_residual)
             if identity_residual > tol:

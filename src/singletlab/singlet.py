@@ -214,15 +214,36 @@ class SingletBasis:
 
     def random_state(self, rng: np.random.Generator) -> PureState:
         """One normalized state with complex Gaussian coefficients."""
-        r = self.dimension
-        coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        coeffs /= np.linalg.norm(coeffs)
-        return self.combine(coeffs).normalized()
+        if self.dimension == 0:
+            raise ValueError("basis is empty")
+        kept, values = _random_amplitudes(self.amplitudes, rng)
+        return PureState._from_arrays(self.shape, self.support[kept], values)
 
     def sample(self, count: int, seed: int = 0) -> list[PureState]:
         """Seeded batch of random subspace states."""
         rng = np.random.default_rng(seed)
         return [self.random_state(rng) for _ in range(count)]
+
+
+def _random_amplitudes(
+    amplitudes: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored columns and amplitudes of one normalized random combination of ``amplitudes``' rows.
+
+    The coefficients are complex Gaussian, scaled to unit norm; the
+    combination keeps its nonzero entries, rephased so that the first is
+    real and positive, divided by their norm.
+    """
+    r = len(amplitudes)
+    coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    coeffs /= np.linalg.norm(coeffs)
+    total = coeffs @ amplitudes
+    kept = np.flatnonzero(total)
+    values = _canonical_phase(total[kept])
+    norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    return kept, values / norm
 
 
 def check_memory(shape: SystemShape, document: bool = False) -> None:
@@ -340,37 +361,76 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
     return SingletBasis._from_arrays(shape, tol, digits, amplitudes)
 
 
-def _dense_for_sampling(state: PureState, samples: int, tol: float) -> np.ndarray:
-    """Dense ``d**n`` vector of a normalized state about to be measured ``samples`` times."""
+def _require_sampling(state: PureState, samples: int, tol: float) -> None:
+    """Opening checks of a dense measurement: one sample or more, unit norm, room for the image."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not state.is_normalized(tol):
         raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
     _check_dense_memory(state.shape)
-    return state.to_dense()
+
+
+#: Bytes one chunk of members may take in :func:`_invariance_residuals`,
+#: each priced at 64 bytes per dense entry, as by ``_check_dense_memory``.
+_INVARIANCE_BYTES = 1 << 20
+
+
+def _invariance_residuals(
+    shape: SystemShape, digits: np.ndarray, rows: np.ndarray, samples: int, seed: int
+) -> np.ndarray:
+    """Worst residual of phase covariance of each amplitude row over Haar-sampled unitaries.
+
+    Row ``k`` of ``rows`` is a state ``b`` on the multi-indices ``digits``.
+    ``samples`` Haar unitaries ``U`` are drawn from ``default_rng(seed)``
+    and shared by every row.  A chunk of rows is placed as the columns of
+    one C-order ``(d**n, m)`` dense block, and per sample one GEMM per
+    site forms all ``m`` images ``U^(x)n b`` at once, member-major.  On
+    each member's contiguous dense row the best-fitting phase is
+    ``<b|image>`` and the residual ``||image - phase b||``, the part that
+    phase cannot explain.  Returns each row's maximum residual: roundoff
+    for a singlet, order one for anything else.
+    Chunks stay within ``_INVARIANCE_BYTES``, down to one member.
+    Raises :class:`MemoryError` before allocating when one member's
+    ``64 * d**n`` bytes (four dense vectors) exceed the available memory.
+    """
+    _check_dense_memory(shape)
+    n, d, dense = shape.n, shape.d, shape.total_dimension
+    rng = np.random.default_rng(seed)
+    unitaries = [haar_unitary(d, rng) for _ in range(samples)]
+    codes = digits @ _weights(d, n)
+    chunk = max(1, _INVARIANCE_BYTES // (64 * dense))
+    worst = np.zeros(len(rows))
+    for first in range(0, len(rows), chunk):
+        part = rows[first : first + chunk]
+        psi = np.zeros((len(part), dense), dtype=complex)
+        psi[:, codes] = part
+        # One member's transpose is already C-order; more are copied once.
+        block = np.ascontiguousarray(psi.T)
+        for u in unitaries:
+            images = _local_image(block, u, n, d).reshape(psi.shape)
+            for k, (vector, image) in enumerate(zip(psi, images), first):
+                phase = np.vdot(vector, image)
+                worst[k] = max(worst[k], float(np.linalg.norm(image - phase * vector)))
+    return worst
 
 
 def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> float:
     """Worst residual of phase covariance over Haar-sampled unitaries.
 
-    The state is expanded once into its dense ``d**n`` vector ``psi``.
-    For each sample ``U`` the image ``U^(x)n psi`` is formed with one
-    GEMM per site, the best-fitting phase is ``<psi|image>``, and the
-    residual is ``||image - phase psi||``, the part that phase cannot
-    explain.  Returns the maximum residual; a singlet gives roundoff,
-    anything else gives an order-one value.  Raises
-    :class:`MemoryError` before allocating when about ``64 * d**n`` bytes
-    (four dense vectors) exceed the available memory.
+    The one-row case of :func:`_invariance_residuals`: for each of
+    ``samples`` Haar unitaries ``U`` drawn from ``default_rng(seed)`` the
+    image ``U^(x)n psi`` of the state's dense ``d**n`` vector is formed
+    with one GEMM per site, the best-fitting phase is ``<psi|image>``,
+    and the residual is ``||image - phase psi||``, the part that phase
+    cannot explain.  Returns the maximum residual; a singlet gives
+    roundoff, anything else gives an order-one value.  Raises
+    :class:`ValueError` for fewer than one sample or an unnormalized
+    state, and :class:`MemoryError` before allocating when about
+    ``64 * d**n`` bytes (four dense vectors) exceed the available memory.
     """
-    psi = _dense_for_sampling(state, samples, DEFAULT_TOL)
-    n, d = state.shape.n, state.shape.d
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        image = _local_image(psi, haar_unitary(d, rng), n, d)
-        phase = np.vdot(psi, image)
-        worst = max(worst, float(np.linalg.norm(image - phase * psi)))
-    return worst
+    _require_sampling(state, samples, DEFAULT_TOL)
+    rows = state.values[None]
+    return float(_invariance_residuals(state.shape, state.digits, rows, samples, seed)[0])
 
 
 @dataclass(frozen=True)
@@ -412,7 +472,8 @@ def extract_phase_function(
     :class:`MemoryError` before allocating when about ``64 * d**n``
     bytes (four dense vectors) exceed the available memory.
     """
-    psi = _dense_for_sampling(state, samples, tol)
+    _require_sampling(state, samples, tol)
+    psi = state.to_dense()
     n, d = state.shape.n, state.shape.d
     weights = _weights(d, n)
     residual = 0.0

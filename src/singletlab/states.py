@@ -544,13 +544,17 @@ def _check_dense_memory(shape: SystemShape, per_entry: int = 64) -> None:
 
 
 def _local_image(vector: np.ndarray, matrix: np.ndarray, n: int, d: int) -> np.ndarray:
-    """``matrix`` applied to every site of a dense ``d**n`` vector.
+    """``matrix`` applied to every site of a dense ``d**n`` vector, or of a block of them.
 
     One GEMM per site: the leading site is contracted and moved to the
     end (``t <- t.reshape(d, -1).T @ matrix.T``, which is
     ``(matrix @ t.reshape(d, -1)).T`` written contiguously), so after
-    ``n`` steps the sites are back in their original order.  Cost
-    ``n * d**(n+1)``; besides the input it holds two ``d**n`` arrays.
+    ``n`` steps the sites are back in their original order.  A C-order
+    ``(d**n, m)`` block of ``m`` vectors as columns goes through the same
+    steps with its member axis carried behind the sites, and comes out
+    member-major: the flat result is ``m`` contiguous images of
+    ``d**n`` entries each.  Cost ``m * n * d**(n+1)``; besides the input
+    it holds two arrays of its size.
     """
     image = vector
     for _ in range(n):
@@ -945,9 +949,13 @@ def cross_marginal(
     return blocks[0, 0] if single else blocks
 
 
+def _require_unit_norm(norm: float, tol: float) -> None:
+    if not abs(norm - 1.0) <= tol:
+        raise ValueError(f"state norm is {norm:.12g}, expected 1 within {tol:.1e}")
+
+
 def _require_normalized(state: PureState, tol: float) -> None:
-    if not state.is_normalized(tol):
-        raise ValueError(f"state norm is {state.norm():.12g}, expected 1 within {tol:.1e}")
+    _require_unit_norm(state.norm(), tol)
 
 
 def partial_trace(

@@ -123,7 +123,11 @@ def corrupted_basis(genuine, seed):
 def test_corrupted_basis_fails_at_the_same_trial_with_the_same_message(
     basis_cache, monkeypatch, n, d, batch
 ):
-    monkeypatch.setattr(nogo, "verify_invariance", lambda state, samples, seed: 0.0)
+    monkeypatch.setattr(
+        nogo,
+        "_invariance_residuals",
+        lambda shape, digits, rows, samples, seed: np.zeros(len(rows)),
+    )
     basis = corrupted_basis(basis_cache(n, d), seed=3)
     # A tolerance just above the Werner gaps of the first three trials makes
     # the loop fail only after they have passed.
@@ -151,10 +155,10 @@ def test_counting_identity_failure_at_zero_tolerance_matches_the_loop(basis_cach
 def test_replay_memory_is_estimated_before_any_check(basis_cache, address_space_cap, monkeypatch):
     basis = basis_cache(8, 4)
 
-    def unreachable(state, samples, seed):
+    def unreachable(shape, digits, rows, samples, seed):
         raise AssertionError("the invariance check ran before the replay estimate")
 
-    monkeypatch.setattr(nogo, "verify_invariance", unreachable)
+    monkeypatch.setattr(nogo, "_invariance_residuals", unreachable)
     address_space_cap(1 << 20)
     with pytest.raises(MemoryError, match=r"n=8 sites with d=4 levels .* GiB"):
         verify_certificate_numerically(basis, trials=5, seed=0)

@@ -12,11 +12,14 @@ import pytest
 
 from singletlab import (
     PureState,
+    SingletBasis,
     SupportProfile,
     SystemShape,
     build_singlet_basis,
     enumerate_support,
+    save_basis,
     save_state,
+    verify_certificate_numerically,
 )
 from singletlab.cli import main
 from singletlab.singlet import check_memory, extract_phase_function, verify_invariance
@@ -26,11 +29,25 @@ HUGE_STATE = PureState(
     SystemShape(1100, 2), {(0, 1) * 550: 2**-0.5, (1, 0) * 550: 2**-0.5}, canonicalize=False
 )
 
+# Two balanced, orthonormal members on the same 1100 qubits.
+HUGE_BASIS = SingletBasis(
+    SystemShape(1100, 2),
+    1e-9,
+    [PureState(SystemShape(1100, 2), {word: 1.0}) for word in ((0, 1) * 550, (1, 0) * 550)],
+)
+
 
 @pytest.fixture(scope="module")
 def huge_state_file(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("states") / "huge.json")
     save_state(HUGE_STATE, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def huge_basis_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("bases") / "huge.json")
+    save_basis(HUGE_BASIS, path, phase="trivial")
     return path
 
 
@@ -63,6 +80,16 @@ class TestAstronomicalShapes:
         flag = "--state" if command == "check-invariance" else "--basis"
         assert main([command, flag, huge_state_file]) == 2
         assert capsys.readouterr().err.startswith("error: a dense image of n=1100 sites")
+
+    def test_verify_refuses_the_dense_invariance_check(self):
+        with pytest.raises(MemoryError, match="n=1100 sites with d=2 levels .* GiB"):
+            verify_certificate_numerically(HUGE_BASIS, trials=2, seed=0)
+
+    def test_verify_exits_2(self, huge_basis_file, capsys):
+        assert main(["verify", "--basis", huge_basis_file, "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a dense image of n=1100 sites with d=2 levels")
+        assert captured.out == ""
 
 
 class TestSupportEnumeration:

@@ -144,7 +144,11 @@ class TestVerifyNumerically:
         marginals are not Werner states."""
         from singletlab import nogo
 
-        monkeypatch.setattr(nogo, "verify_invariance", lambda state, samples, seed: 0.0)
+        monkeypatch.setattr(
+            nogo,
+            "_invariance_residuals",
+            lambda shape, digits, rows, samples, seed: np.zeros(len(rows)),
+        )
         impostor = random_balanced_state(SystemShape(n, d), np.random.default_rng(13))
         basis = SingletBasis(shape=SystemShape(n, d), tolerance=1e-9, states=(impostor,))
         with pytest.raises(CertificateViolationError, match="trial 0: .* Werner form"):
