@@ -22,11 +22,11 @@ from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, _invariance_residuals, _random_amplitudes
+from .singlet import SingletBasis, _random_amplitudes
 # perfbench's tracer wraps verify_invariance through this binding.
 from .singlet import verify_invariance  # noqa: F401
-from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory, _require_normalized
-from .states import _pair_sums as _replay_sums, _require_unit_norm
+from .states import DEFAULT_TOL, PureState, SystemShape, _collective_image, _require_memory
+from .states import _pair_sums as _replay_sums, _require_normalized, _require_unit_norm
 # perfbench's tracer wraps partial_trace through this binding.
 from .states import partial_trace  # noqa: F401
 # The floor bounds pair_deficit; perfbench's tracer wraps it through this binding.
@@ -82,8 +82,23 @@ def _werner_form(s: np.ndarray, d: int) -> np.ndarray:
 
 #: Bytes one batch of replayed trials may hold: their amplitude rows on
 #: the whole support and on its used columns, and one site pair's factors
-#: with their conjugate.
+#: with their conjugate.  A chunk of the raising check keeps to it too.
 _REPLAY_BYTES = 32 * 2**20
+
+
+def _raising_chunk(basis: SingletBasis) -> tuple[int, int]:
+    """Members per chunk of :func:`_raising_residuals`, and the bytes one chunk holds.
+
+    The raising image has at most ``T`` terms, the support entries above
+    label 0.  A member holds at most ``64 T`` bytes at once (its terms
+    twice beside its image, or its image and the image's squares); the
+    chunk also holds at most ``18 n + 560`` bytes per term for the image
+    digit rows, their sort words and indices.  Chunks stay within
+    ``_REPLAY_BYTES``, down to one member.
+    """
+    terms = int(np.count_nonzero(basis.support))
+    chunk = max(1, min(basis.dimension, _REPLAY_BYTES // max(64 * terms, 1)))
+    return chunk, (64 * chunk + 18 * basis.shape.n + 560) * terms
 
 
 def _replay_batch(basis: SingletBasis, trials: int) -> int:
@@ -94,19 +109,32 @@ def _replay_batch(basis: SingletBasis, trials: int) -> int:
     and, per site pair, a ``d**2 x m`` complex factor and its conjugate,
     with ``m <= S`` complement rows; the batch also holds the used
     support rows once (``n S`` bytes).  Batches stay within
-    ``_REPLAY_BYTES`` unless a single trial exceeds it, and are checked
-    against the soft address-space limit when one is set, else physical
-    memory.
+    ``_REPLAY_BYTES`` unless a single trial exceeds it.  One batch, then
+    one chunk of :func:`_raising_chunk`, is checked against the soft
+    address-space limit when one is set, else physical memory.
     """
     n, d = basis.shape.n, basis.shape.d
     support = len(basis.support)
     per_trial = (32 + 32 * d * d) * support
     batch = max(1, min(trials, _REPLAY_BYTES // per_trial))
-    _require_memory(
-        batch * per_trial + n * support,
-        f"replaying pair marginals of n={n} sites with d={d} levels",
-    )
+    what = f"of n={n} sites with d={d} levels"
+    _require_memory(batch * per_trial + n * support, f"replaying pair marginals {what}")
+    _require_memory(_raising_chunk(basis)[1], f"the raising images {what}")
     return batch
+
+
+def _raising_residuals(digits: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """``(sum_a ||E_a b||**2)**0.5`` of each balanced amplitude row ``b`` over ``digits``.
+
+    ``E_a = sum_i e^(i)_{a,a+1}`` (``a < d - 1``) are the collective
+    raising operators.  A balanced state they all annihilate is a
+    highest-weight vector of weight ``(K, ..., K)``, which spans the
+    one-dimensional ``det**K`` representation: a singlet.  On a balanced
+    row each ``E_a`` lands on its own occupation profile, so the figure
+    is ``||E b||`` for ``E = sum_a E_a``, one sparse image per row.
+    """
+    image = _collective_image(digits, rows, np.eye(d, k=1), d)[1]
+    return np.sqrt((image.real**2 + image.imag**2).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -209,9 +237,8 @@ def verify_certificate_numerically(
     First validates, on ``basis.support`` and ``basis.amplitudes``
     directly, that the basis really spans an invariant subspace: every
     member stores at least one row and only balanced rows, the members
-    are orthonormal, and each member's invariance residual over four
-    Haar unitaries drawn from ``default_rng(seed)`` (shared by all
-    members, see :func:`singlet._invariance_residuals`) is small.  Then
+    are orthonormal, and each member's :func:`_raising_residuals`, an
+    exact check, is small, checked a chunk of members at a time.  Then
     draws ``trials`` seeded random combinations straight into amplitude
     rows on the support, the same states :meth:`SingletBasis.random_state`
     draws, and checks that each is normalized, that the counting sum
@@ -226,9 +253,8 @@ def verify_certificate_numerically(
     honest basis the bounds hold by construction, so a violation means
     the input does not span the subspace it claims to.  Raises
     :class:`ValueError` when ``d`` does not divide ``n`` and
-    :class:`MemoryError`, before any check, when one batch of trials
-    cannot fit in memory, and before the invariance check allocates when
-    one member's dense image cannot.
+    :class:`MemoryError`, before any check, when one batch of trials or
+    one chunk of the raising check cannot fit in memory.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -248,21 +274,19 @@ def verify_certificate_numerically(
         raise CertificateViolationError(
             f"basis member {np.argmax(unbalanced)} does not have balanced support"
         )
+    limit = max(tol, 1e-12) * 100
     gram_defect = float(np.abs(basis.gram() - np.eye(basis.dimension)).max())
-    if gram_defect > max(tol, 1e-12) * 100:
-        raise CertificateViolationError(
-            f"basis is not orthonormal (Gram defect {gram_defect:.3e})"
-        )
-    residuals = _invariance_residuals(
-        basis.shape, basis.support, basis.amplitudes, samples=4, seed=seed
-    )
-    failing = residuals > max(tol, 1e-12) * 100
-    if failing.any():
-        position = int(np.argmax(failing))
-        raise CertificateViolationError(
-            f"basis member {position} is not collectively invariant "
-            f"(residual {residuals[position]:.3e})"
-        )
+    if gram_defect > limit:
+        raise CertificateViolationError(f"basis is not orthonormal (Gram defect {gram_defect:.3e})")
+    chunk = _raising_chunk(basis)[0]
+    for first in range(0, basis.dimension, chunk):
+        residuals = _raising_residuals(basis.support, basis.amplitudes[first : first + chunk], d)
+        failing = np.flatnonzero(residuals > limit)
+        if failing.size:
+            raise CertificateViolationError(
+                f"basis member {first + failing[0]} is not collectively invariant "
+                f"(residual {residuals[failing[0]]:.3e})"
+            )
     actual = float(certificate.actual)
     floor = float(certificate.deficit_floor)
     rng = np.random.default_rng(seed)

@@ -42,6 +42,7 @@ from .states import (
     _local_image,
     _canonical_phase,
     _require_memory,
+    _require_normalized,
     _state_document,
     _weights,
     apply_local,
@@ -365,72 +366,36 @@ def _require_sampling(state: PureState, samples: int, tol: float) -> None:
     """Opening checks of a dense measurement: one sample or more, unit norm, room for the image."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if not state.is_normalized(tol):
-        raise ValueError(f"state norm is {state.norm():.12g}, expected 1")
+    _require_normalized(state, tol)
     _check_dense_memory(state.shape)
-
-
-#: Bytes one chunk of members may take in :func:`_invariance_residuals`,
-#: each priced at 64 bytes per dense entry, as by ``_check_dense_memory``.
-_INVARIANCE_BYTES = 1 << 20
-
-
-def _invariance_residuals(
-    shape: SystemShape, digits: np.ndarray, rows: np.ndarray, samples: int, seed: int
-) -> np.ndarray:
-    """Worst residual of phase covariance of each amplitude row over Haar-sampled unitaries.
-
-    Row ``k`` of ``rows`` is a state ``b`` on the multi-indices ``digits``.
-    ``samples`` Haar unitaries ``U`` are drawn from ``default_rng(seed)``
-    and shared by every row.  A chunk of rows is placed as the columns of
-    one C-order ``(d**n, m)`` dense block, and per sample one GEMM per
-    site forms all ``m`` images ``U^(x)n b`` at once, member-major.  On
-    each member's contiguous dense row the best-fitting phase is
-    ``<b|image>`` and the residual ``||image - phase b||``, the part that
-    phase cannot explain.  Returns each row's maximum residual: roundoff
-    for a singlet, order one for anything else.
-    Chunks stay within ``_INVARIANCE_BYTES``, down to one member.
-    Raises :class:`MemoryError` before allocating when one member's
-    ``64 * d**n`` bytes (four dense vectors) exceed the available memory.
-    """
-    _check_dense_memory(shape)
-    n, d, dense = shape.n, shape.d, shape.total_dimension
-    rng = np.random.default_rng(seed)
-    unitaries = [haar_unitary(d, rng) for _ in range(samples)]
-    codes = digits @ _weights(d, n)
-    chunk = max(1, _INVARIANCE_BYTES // (64 * dense))
-    worst = np.zeros(len(rows))
-    for first in range(0, len(rows), chunk):
-        part = rows[first : first + chunk]
-        psi = np.zeros((len(part), dense), dtype=complex)
-        psi[:, codes] = part
-        # One member's transpose is already C-order; more are copied once.
-        block = np.ascontiguousarray(psi.T)
-        for u in unitaries:
-            images = _local_image(block, u, n, d).reshape(psi.shape)
-            for k, (vector, image) in enumerate(zip(psi, images), first):
-                phase = np.vdot(vector, image)
-                worst[k] = max(worst[k], float(np.linalg.norm(image - phase * vector)))
-    return worst
 
 
 def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> float:
     """Worst residual of phase covariance over Haar-sampled unitaries.
 
-    The one-row case of :func:`_invariance_residuals`: for each of
-    ``samples`` Haar unitaries ``U`` drawn from ``default_rng(seed)`` the
-    image ``U^(x)n psi`` of the state's dense ``d**n`` vector is formed
-    with one GEMM per site, the best-fitting phase is ``<psi|image>``,
-    and the residual is ``||image - phase psi||``, the part that phase
-    cannot explain.  Returns the maximum residual; a singlet gives
-    roundoff, anything else gives an order-one value.  Raises
-    :class:`ValueError` for fewer than one sample or an unnormalized
-    state, and :class:`MemoryError` before allocating when about
-    ``64 * d**n`` bytes (four dense vectors) exceed the available memory.
+    For each of ``samples`` Haar unitaries ``U`` drawn from
+    ``default_rng(seed)`` the image ``U^(x)n psi`` of the state's dense
+    ``d**n`` vector is formed with one GEMM per site, the best-fitting
+    phase is ``<psi|image>``, and the residual is
+    ``||image - phase psi||``, the part that phase cannot explain.
+    Returns the maximum residual; a singlet gives roundoff, anything
+    else gives an order-one value.  This is the numerical witness of the
+    definition; ``verify`` checks a basis exactly instead, with the
+    collective raising operators.  Raises :class:`ValueError` for fewer
+    than one sample or an unnormalized state, and :class:`MemoryError`
+    before allocating when about ``64 * d**n`` bytes (four dense
+    vectors) exceed the available memory.
     """
     _require_sampling(state, samples, DEFAULT_TOL)
-    rows = state.values[None]
-    return float(_invariance_residuals(state.shape, state.digits, rows, samples, seed)[0])
+    n, d = state.shape.n, state.shape.d
+    psi = state.to_dense()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        image = _local_image(psi, haar_unitary(d, rng), n, d)
+        phase = np.vdot(psi, image)
+        worst = max(worst, float(np.linalg.norm(image - phase * psi)))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -544,17 +544,13 @@ def _check_dense_memory(shape: SystemShape, per_entry: int = 64) -> None:
 
 
 def _local_image(vector: np.ndarray, matrix: np.ndarray, n: int, d: int) -> np.ndarray:
-    """``matrix`` applied to every site of a dense ``d**n`` vector, or of a block of them.
+    """``matrix`` applied to every site of a dense ``d**n`` vector.
 
     One GEMM per site: the leading site is contracted and moved to the
     end (``t <- t.reshape(d, -1).T @ matrix.T``, which is
     ``(matrix @ t.reshape(d, -1)).T`` written contiguously), so after
-    ``n`` steps the sites are back in their original order.  A C-order
-    ``(d**n, m)`` block of ``m`` vectors as columns goes through the same
-    steps with its member axis carried behind the sites, and comes out
-    member-major: the flat result is ``m`` contiguous images of
-    ``d**n`` entries each.  Cost ``m * n * d**(n+1)``; besides the input
-    it holds two arrays of its size.
+    ``n`` steps the sites are back in their original order.  Cost
+    ``n * d**(n+1)``; besides the input it holds two arrays of its size.
     """
     image = vector
     for _ in range(n):
@@ -605,31 +601,44 @@ def permute_particles(state: PureState, omega: Sequence[int]) -> PureState:
     return PureState._from_arrays(state.shape, state.digits[:, omega], state.values)
 
 
+def _collective_image(
+    digits: np.ndarray, rows: np.ndarray, matrix: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_a g^(a)`` on each amplitude row over ``digits``: the image's sorted digits and rows.
+
+    Each image entry sums its terms in the same order whatever the number of rows.
+    """
+    images, values = [], []
+    for site in range(digits.shape[1]):
+        for target in range(d):
+            weight = matrix[target, digits[:, site]]
+            hit = np.flatnonzero(weight)
+            image = digits[hit]
+            image[:, site] = target
+            images.append(image)
+            values.append(weight[hit] * rows[:, hit])
+    images = np.concatenate(images)
+    inverse, first = _group_rows(images, d)
+    total = np.zeros((len(rows), first.size), dtype=complex)
+    for row, terms in zip(total, np.concatenate(values, axis=1)):
+        np.add.at(row, inverse, terms)
+    return images[first], total
+
+
 def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
     """Apply the collective operator ``sum_a g^(a)`` (one-site ``g`` summed over sites).
 
     This is the infinitesimal counterpart of :func:`apply_local` and is
     what annihilates collectively invariant states when ``g`` is
-    traceless.  Sparse: cost is ``O(terms * n * d)``.
+    traceless.  Sparse: cost is ``O(terms * n * d)``.  The one-row case
+    of :func:`_collective_image`, which ``verify`` runs on its members.
     """
     g = np.asarray(matrix, dtype=complex)
-    n, d = state.shape.n, state.shape.d
+    d = state.shape.d
     if g.shape != (d, d):
         raise ValueError(f"generator must be {d}x{d}, got {g.shape}")
-    images, values = [], []
-    for site in range(n):
-        for target in range(d):
-            weight = g[target, state.digits[:, site]]
-            hit = np.flatnonzero(weight)
-            image = state.digits[hit]
-            image[:, site] = target
-            images.append(image)
-            values.append(weight[hit] * state.values[hit])
-    images = np.concatenate(images)
-    rows, first = _group_rows(images, d)
-    total = np.zeros(first.size, dtype=complex)
-    np.add.at(total, rows, np.concatenate(values))
-    return PureState._from_arrays(state.shape, images[first], total)
+    digits, total = _collective_image(state.digits, state.values[None], g, d)
+    return PureState._from_arrays(state.shape, digits, total[0])
 
 
 def superpose(

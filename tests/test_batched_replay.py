@@ -125,8 +125,8 @@ def test_corrupted_basis_fails_at_the_same_trial_with_the_same_message(
 ):
     monkeypatch.setattr(
         nogo,
-        "_invariance_residuals",
-        lambda shape, digits, rows, samples, seed: np.zeros(len(rows)),
+        "_raising_residuals",
+        lambda digits, rows, d: np.zeros(len(rows)),
     )
     basis = corrupted_basis(basis_cache(n, d), seed=3)
     # A tolerance just above the Werner gaps of the first three trials makes
@@ -155,10 +155,10 @@ def test_counting_identity_failure_at_zero_tolerance_matches_the_loop(basis_cach
 def test_replay_memory_is_estimated_before_any_check(basis_cache, address_space_cap, monkeypatch):
     basis = basis_cache(8, 4)
 
-    def unreachable(shape, digits, rows, samples, seed):
+    def unreachable(digits, rows, d):
         raise AssertionError("the invariance check ran before the replay estimate")
 
-    monkeypatch.setattr(nogo, "_invariance_residuals", unreachable)
+    monkeypatch.setattr(nogo, "_raising_residuals", unreachable)
     address_space_cap(1 << 20)
     with pytest.raises(MemoryError, match=r"n=8 sites with d=4 levels .* GiB"):
         verify_certificate_numerically(basis, trials=5, seed=0)

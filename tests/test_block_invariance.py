@@ -1,12 +1,15 @@
-"""``verify``'s basis checks on the basis matrix against the per-member loop.
+"""``verify``'s basis checks on the basis matrix against independent references.
 
-``verify_certificate_numerically`` checks every member's invariance in
-one dense block per chunk of members, with four Haar unitaries shared by
-all of them, and draws its trials straight into amplitude rows on the
-basis support.  The per-member loop is kept here as the reference: one
-``verify_invariance`` per member with the same seed, and trials drawn as
+``verify_certificate_numerically`` checks every member's invariance
+exactly, a chunk of members at a time, as the norm of its images under
+the collective raising operators ``E_a``, and draws its trials straight
+into amplitude rows on the basis support.  The references kept here are
+a dense oracle of ``E_a`` built from ``kron`` products, the per-member
+Haar loop (one ``verify_invariance`` per member), and trials drawn as
 ``basis.random_state`` states.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,18 +18,21 @@ from singletlab import (
     CertificateViolationError,
     PureState,
     SingletBasis,
+    SystemShape,
     joint_amplitudes,
+    permutation_sign,
     verify_certificate_numerically,
 )
-from singletlab import nogo, singlet
-from singletlab.singlet import _invariance_residuals, _random_amplitudes, verify_invariance
+from singletlab import nogo
+from singletlab.singlet import _random_amplitudes, verify_invariance
 
-from conftest import random_balanced_state
+from conftest import kron_chain, random_balanced_state
 
 LADDER = [(4, 2), (6, 2), (8, 2), (10, 2), (12, 2), (6, 3), (9, 3), (8, 4)]
 CORRUPTED = [(6, 2), (8, 2), (6, 3), (8, 4)]
 TOL = 1e-9
 LIMIT = max(TOL, 1e-12) * 100
+PREFIX = "is not collectively invariant (residual "
 
 
 def orthogonal_impostor(genuine, seed):
@@ -45,32 +51,98 @@ def with_member(genuine, position, amplitudes):
 
 
 def loop_invariance_failure(basis, seed):
-    """First failure message of the per-member loop, or None when every member passes."""
+    """First failure message of the per-member Haar loop, or None when every member passes."""
     for position, member in enumerate(basis):
         residual = verify_invariance(member, samples=4, seed=seed)
         if residual > LIMIT:
-            return (
-                f"basis member {position} is not collectively invariant "
-                f"(residual {residual:.3e})"
-            )
+            return f"basis member {position} {PREFIX}{residual:.3e})"
     return None
 
 
-def block_residuals(basis, seed):
-    return _invariance_residuals(basis.shape, basis.support, basis.amplitudes, 4, seed)
+def raising_residuals(basis):
+    return nogo._raising_residuals(basis.support, basis.amplitudes, basis.shape.d)
 
 
-@pytest.mark.parametrize("n,d", CORRUPTED)
-def test_genuine_residuals_match_the_loop_for_any_chunk(basis_cache, monkeypatch, n, d):
+def dense_raising_residual(state):
+    """``(sum_a ||E_a psi||**2)**0.5`` with each ``E_a`` a dense sum of ``kron`` products."""
+    n, d = state.shape.n, state.shape.d
+    psi = state.to_dense()
+    squares = 0.0
+    for a in range(d - 1):
+        raising = np.zeros((d, d))
+        raising[a, a + 1] = 1.0
+        operator = sum(
+            kron_chain([raising if site == i else np.eye(d) for site in range(n)])
+            for i in range(n)
+        )
+        squares += np.linalg.norm(operator @ psi) ** 2
+    return np.sqrt(squares)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (3, 3), (6, 3), (4, 4)])
+def test_residuals_match_the_dense_raising_oracle(basis_cache, n, d):
+    genuine = basis_cache(n, d)
+    rng = np.random.default_rng(n * d)
+    states = [random_balanced_state(genuine.shape, rng) for _ in range(3)]
+    states += [*genuine.states, PureState(genuine.shape, orthogonal_impostor(genuine, seed=1))]
+    for state in states:
+        got = nogo._raising_residuals(state.digits, state.values[None], d)
+        assert got.shape == (1,)
+        assert abs(got[0] - dense_raising_residual(state)) <= 1e-14
+
+
+def determinant_product(columns, d):
+    """Unnormalized product of ``d``-site determinant states, one per column of sites."""
+    n = sum(len(column) for column in columns)
+    amplitudes = {}
+    for perms in itertools.product(itertools.permutations(range(d)), repeat=len(columns)):
+        word = [0] * n
+        for column, perm in zip(columns, perms):
+            for site, label in zip(column, perm):
+                word[site] = label
+        amplitudes[tuple(word)] = float(np.prod([permutation_sign(p) for p in perms]))
+    return PureState(SystemShape(n, d), amplitudes, canonicalize=False)
+
+
+@pytest.mark.parametrize(
+    "columns,d",
+    [
+        ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)], 2),
+        ([(0, 5), (1, 2), (3, 4), (6, 9), (7, 8)], 2),
+        ([(0, 1, 2), (3, 4, 5)], 3),
+        ([(0, 4, 8), (1, 3, 6), (2, 5, 7)], 3),
+        ([(0, 1, 2, 3), (4, 5, 6, 7)], 4),
+        ([(0, 7, 2, 5), (1, 3, 4, 6)], 4),
+    ],
+)
+def test_residual_is_exactly_zero_on_integer_determinant_products(columns, d):
+    state = determinant_product(columns, d)
+    assert set(np.abs(state.values).tolist()) == {1.0}
+    assert nogo._raising_residuals(state.digits, state.values[None], d).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n,d", LADDER)
+def test_ladder_residuals_are_roundoff_for_any_chunk(basis_cache, monkeypatch, n, d):
     basis = basis_cache(n, d)
-    for seed in (0, 3):
-        loop = np.array([verify_invariance(member, samples=4, seed=seed) for member in basis])
-        block = block_residuals(basis, seed)
-        assert np.all(np.abs(block - loop) <= 1e-14)
-        assert block.max() <= LIMIT / 1000
-        with monkeypatch.context() as patch:
-            patch.setattr(singlet, "_INVARIANCE_BYTES", 1)
-            assert np.array_equal(block_residuals(basis, seed), block)
+    residuals = raising_residuals(basis)
+    assert residuals.max() <= LIMIT / 1000
+    rows = [nogo._raising_residuals(basis.support, row[None], d)[0] for row in basis.amplitudes]
+    assert residuals.tolist() == rows
+    seen = []
+    check = nogo._raising_residuals
+
+    def spy(digits, rows, d):
+        seen.append(check(digits, rows, d))
+        return seen[-1]
+
+    monkeypatch.setattr(nogo, "_raising_residuals", spy)
+    whole = verify_certificate_numerically(basis, trials=2, seed=0, tol=TOL)
+    monkeypatch.setattr(nogo, "_REPLAY_BYTES", 1)
+    chunked = len(seen)
+    assert verify_certificate_numerically(basis, trials=2, seed=0, tol=TOL) == whole
+    assert len(seen) - chunked == basis.dimension
+    assert np.concatenate(seen[:chunked]).tolist() == residuals.tolist()
+    assert np.concatenate(seen[chunked:]).tolist() == residuals.tolist()
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -80,12 +152,13 @@ def test_impostor_fails_with_the_loops_message(basis_cache, monkeypatch, n, d, w
     position = {"first": 0, "middle": len(genuine) // 2, "last": len(genuine)}[where]
     basis = with_member(genuine, position, orthogonal_impostor(genuine, seed=7))
     expected = loop_invariance_failure(basis, seed=2)
-    assert expected is not None and expected.startswith(f"basis member {position} ")
-    for budget in (singlet._INVARIANCE_BYTES, 1):
-        monkeypatch.setattr(singlet, "_INVARIANCE_BYTES", budget)
+    assert expected is not None and expected.startswith(f"basis member {position} {PREFIX}")
+    for budget in (nogo._REPLAY_BYTES, 1):
+        monkeypatch.setattr(nogo, "_REPLAY_BYTES", budget)
         with pytest.raises(CertificateViolationError) as caught:
             verify_certificate_numerically(basis, trials=3, seed=2, tol=TOL)
-        assert str(caught.value) == expected
+        residual = raising_residuals(basis)[position]
+        assert str(caught.value) == f"basis member {position} {PREFIX}{residual:.3e})"
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (6, 3)])
@@ -104,10 +177,10 @@ def test_the_invariance_limit_is_unchanged(basis_cache, n, d):
         return SingletBasis(shape=genuine.shape, tolerance=genuine.tolerance, states=states)
 
     # The residual is linear in a small tilt; scale one probe to the targets.
-    probe = block_residuals(tilted(1e-6), seed=0)[position]
+    probe = raising_residuals(tilted(1e-6))[position]
     for factor in (10.0, 0.1):
         basis = tilted(1e-6 * factor * LIMIT / probe)
-        residual = block_residuals(basis, seed=0)[position]
+        residual = raising_residuals(basis)[position]
         assert factor / 2 < residual / LIMIT < factor * 2
         try:
             verify_certificate_numerically(basis, trials=2, seed=0, tol=TOL)
@@ -115,8 +188,7 @@ def test_the_invariance_limit_is_unchanged(basis_cache, n, d):
         except CertificateViolationError as exc:
             message = str(exc)
         if factor > 1:
-            assert message == loop_invariance_failure(basis, seed=0)
-            assert message.startswith(f"basis member {position} is not collectively invariant")
+            assert message == f"basis member {position} {PREFIX}{residual:.3e})"
         else:
             # Past the invariance check, only a trial may still notice the tilt.
             assert message is None or message.startswith("trial ")

@@ -2,8 +2,9 @@
 
 A shape whose basis or dense image could never fit is refused with a
 :class:`MemoryError` (CLI exit 2), even when its byte count overflows a
-float; a one-level shape of any length is answered, with no recursion
-as deep as ``n``.
+float; ``verify``, which forms no dense image, answers a basis of such a
+shape, and a one-level shape of any length is answered, with no
+recursion as deep as ``n``.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import itertools
 import pytest
 
 from singletlab import (
+    CertificateViolationError,
     PureState,
     SingletBasis,
     SupportProfile,
@@ -81,14 +83,19 @@ class TestAstronomicalShapes:
         assert main([command, flag, huge_state_file]) == 2
         assert capsys.readouterr().err.startswith("error: a dense image of n=1100 sites")
 
-    def test_verify_refuses_the_dense_invariance_check(self):
-        with pytest.raises(MemoryError, match="n=1100 sites with d=2 levels .* GiB"):
+    def test_verify_names_the_first_non_invariant_member(self):
+        # sqrt(550): each of a member's 550 ones is raised to its own image.
+        with pytest.raises(CertificateViolationError) as caught:
             verify_certificate_numerically(HUGE_BASIS, trials=2, seed=0)
+        message = "basis member 0 is not collectively invariant (residual 2.345e+01)"
+        assert str(caught.value) == message
 
-    def test_verify_exits_2(self, huge_basis_file, capsys):
-        assert main(["verify", "--basis", huge_basis_file, "--trials", "2"]) == 2
+    def test_verify_exits_1(self, huge_basis_file, capsys):
+        assert main(["verify", "--basis", huge_basis_file, "--trials", "2"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: a dense image of n=1100 sites with d=2 levels")
+        assert captured.err.startswith(
+            "certificate violation: basis member 0 is not collectively invariant"
+        )
         assert captured.out == ""
 
 

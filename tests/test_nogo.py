@@ -146,8 +146,8 @@ class TestVerifyNumerically:
 
         monkeypatch.setattr(
             nogo,
-            "_invariance_residuals",
-            lambda shape, digits, rows, samples, seed: np.zeros(len(rows)),
+            "_raising_residuals",
+            lambda digits, rows, d: np.zeros(len(rows)),
         )
         impostor = random_balanced_state(SystemShape(n, d), np.random.default_rng(13))
         basis = SingletBasis(shape=SystemShape(n, d), tolerance=1e-9, states=(impostor,))
