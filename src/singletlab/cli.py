@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"numerical tolerance (default {DEFAULT_TOL:g}); for subspace, the "
         "smallest accepted Gram-Schmidt pivot relative to its row norm",
     )
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="random seed, >= 0 (default 0)")
     common.add_argument("--out", default=None, help="write a JSON artifact to this path")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         parser.error(f"--tol must be finite and >= 0, got {args.tol}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.handler(args)
     except CertificateViolationError as exc:

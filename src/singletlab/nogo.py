@@ -22,10 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, _random_amplitudes
+from .singlet import SingletBasis, _raising_residuals, _random_amplitudes
 # perfbench's tracer wraps verify_invariance through this binding.
 from .singlet import verify_invariance  # noqa: F401
-from .states import DEFAULT_TOL, PureState, SystemShape, _collective_image, _require_memory
+from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory
 from .states import _pair_sums as _replay_sums, _require_normalized, _require_unit_norm
 # perfbench's tracer wraps partial_trace through this binding.
 from .states import partial_trace  # noqa: F401
@@ -121,20 +121,6 @@ def _replay_batch(basis: SingletBasis, trials: int) -> int:
     _require_memory(batch * per_trial + n * support, f"replaying pair marginals {what}")
     _require_memory(_raising_chunk(basis)[1], f"the raising images {what}")
     return batch
-
-
-def _raising_residuals(digits: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
-    """``(sum_a ||E_a b||**2)**0.5`` of each balanced amplitude row ``b`` over ``digits``.
-
-    ``E_a = sum_i e^(i)_{a,a+1}`` (``a < d - 1``) are the collective
-    raising operators.  A balanced state they all annihilate is a
-    highest-weight vector of weight ``(K, ..., K)``, which spans the
-    one-dimensional ``det**K`` representation: a singlet.  On a balanced
-    row each ``E_a`` lands on its own occupation profile, so the figure
-    is ``||E b||`` for ``E = sum_a E_a``, one sparse image per row.
-    """
-    image = _collective_image(digits, rows, np.eye(d, k=1), d)[1]
-    return np.sqrt((image.real**2 + image.imag**2).sum(axis=1))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ on the shared balanced support.
 
 The phase picked up under a one-site unitary ``U`` is measured, not
 assumed: label permutations are applied exactly and must return the
-state times +1 or -1, and Haar-random unitaries are fitted against
-integer powers of ``det(U)``.
+state times +1 or -1.  :func:`extract_phase_function` fits Haar-random
+unitaries against integer powers of ``det(U)``; the phase stamped on a
+basis document is exact instead, from the collective raising operators,
+and draws nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .states import (
     SupportProfile,
     SystemShape,
     _check_dense_memory,
+    _collective_image,
     _integer_field,
     _local_image,
     _canonical_phase,
@@ -398,6 +401,54 @@ def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> flo
     return worst
 
 
+def _transposition_sign(state: PureState, psi: np.ndarray, tol: float) -> tuple[int | None, float]:
+    """Common sign of the adjacent label transpositions on ``state``, and the worst gap.
+
+    Every adjacent label transposition is applied exactly, by relabeling
+    the stored multi-indices, and compared with ``psi``, the state's
+    dense vector; each must return ``psi`` times +1 or -1 within ``tol``
+    and all must agree on the sign (None at ``d = 1``, which has none).
+    Raises :class:`PhaseFunctionError` otherwise.
+    """
+    n, d = state.shape.n, state.shape.d
+    weights = _weights(d, n)
+    residual = 0.0
+    sign: int | None = None
+    for k in range(d - 1):
+        swap = np.arange(d)
+        swap[k], swap[k + 1] = k + 1, k
+        image = np.zeros_like(psi)
+        image[swap[state.digits] @ weights] = state.values
+        gap_plus = float(np.linalg.norm(image - psi))
+        gap_minus = float(np.linalg.norm(image + psi))
+        if min(gap_plus, gap_minus) > tol:
+            raise PhaseFunctionError(
+                f"transposition ({k},{k + 1}) returns neither +state nor -state "
+                f"(gaps {gap_plus:.3e}, {gap_minus:.3e})"
+            )
+        this = 1 if gap_plus <= gap_minus else -1
+        residual = max(residual, min(gap_plus, gap_minus))
+        if sign is None:
+            sign = this
+        elif sign != this:
+            raise PhaseFunctionError("adjacent transpositions disagree on the sign")
+    return sign, residual
+
+
+def _raising_residuals(digits: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """``(sum_a ||E_a b||**2)**0.5`` of each balanced amplitude row ``b`` over ``digits``.
+
+    ``E_a = sum_i e^(i)_{a,a+1}`` (``a < d - 1``) are the collective
+    raising operators.  A balanced state they all annihilate is a
+    highest-weight vector of weight ``(K, ..., K)``, which spans the
+    one-dimensional ``det**K`` representation: a singlet.  On a balanced
+    row each ``E_a`` lands on its own occupation profile, so the figure
+    is ``||E b||`` for ``E = sum_a E_a``, one sparse image per row.
+    """
+    image = _collective_image(digits, rows, np.eye(d, k=1), d)[1]
+    return np.sqrt((image.real**2 + image.imag**2).sum(axis=1))
+
+
 @dataclass(frozen=True)
 class PhaseFunctionReport:
     """Measured transformation phases of a singlet state.
@@ -440,27 +491,7 @@ def extract_phase_function(
     _require_sampling(state, samples, tol)
     psi = state.to_dense()
     n, d = state.shape.n, state.shape.d
-    weights = _weights(d, n)
-    residual = 0.0
-    sign: int | None = None
-    for k in range(d - 1):
-        swap = np.arange(d)
-        swap[k], swap[k + 1] = k + 1, k
-        image = np.zeros_like(psi)
-        image[swap[state.digits] @ weights] = state.values
-        gap_plus = float(np.linalg.norm(image - psi))
-        gap_minus = float(np.linalg.norm(image + psi))
-        if min(gap_plus, gap_minus) > tol:
-            raise PhaseFunctionError(
-                f"transposition ({k},{k + 1}) returns neither +state nor -state "
-                f"(gaps {gap_plus:.3e}, {gap_minus:.3e})"
-            )
-        this = 1 if gap_plus <= gap_minus else -1
-        residual = max(residual, min(gap_plus, gap_minus))
-        if sign is None:
-            sign = this
-        elif sign != this:
-            raise PhaseFunctionError("adjacent transpositions disagree on the sign")
+    sign, residual = _transposition_sign(state, psi, tol)
     permutation_phase = PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
 
     rng = np.random.default_rng(seed)
@@ -529,20 +560,35 @@ def all_label_permutations(d: int):
 
 # --- JSON interface -------------------------------------------------------
 
-# Haar draws behind the permutation phase recorded in basis documents.
-_PHASE_SAMPLES = 8
-
-
 def measure_phase(basis: SingletBasis, seed: int = 0) -> str | None:
     """Permutation phase of the first member, or None for an empty basis.
 
-    Measured with :func:`extract_phase_function` from ``_PHASE_SAMPLES``
-    Haar draws seeded with ``seed``; it is the ``permutation_phase`` of
-    the basis documents.
+    Stamped exactly, drawing nothing: the member must be normalized and
+    balanced, return times one common sign under every adjacent label
+    transposition (:func:`_transposition_sign`), and be annihilated by
+    the collective raising operators within ``verify``'s limit
+    (:func:`_raising_residuals`).  It then spans the ``det**K``
+    representation, so for ``d >= 2`` the sign is -1 exactly when
+    ``K = n // d`` is odd.  A failed check raises
+    :class:`PhaseFunctionError`.  It is the ``permutation_phase`` of the
+    basis documents, which record ``seed``; the phase does not depend on it.
     """
     if not basis.dimension:
         return None
-    return extract_phase_function(basis[0], samples=_PHASE_SAMPLES, seed=seed).permutation_phase
+    state, tol = basis[0], DEFAULT_TOL
+    if not (state.is_normalized(tol) and state.has_uniform_support()):
+        raise PhaseFunctionError("member 0 is not a unit state on balanced support")
+    _check_dense_memory(state.shape)
+    sign, _ = _transposition_sign(state, state.to_dense(), tol)
+    d, copies = state.shape.d, state.shape.copies
+    residual = _raising_residuals(state.digits, state.values[None], d)[0]
+    if residual > max(tol, 1e-12) * 100:
+        raise PhaseFunctionError(
+            f"member 0 is not collectively invariant (residual {residual:.3e})"
+        )
+    if d >= 2 and (sign == -1) != (copies % 2 == 1):
+        raise PhaseFunctionError(f"transposition sign {sign} contradicts K = {copies}")
+    return PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
 
 
 def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -> dict:
