@@ -22,10 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, _raising_residuals, _random_amplitudes
+from .singlet import SingletBasis, _raising_residuals, _raising_terms, _random_amplitudes
 # perfbench's tracer wraps verify_invariance through this binding.
 from .singlet import verify_invariance  # noqa: F401
-from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory
+from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory, _word_digits
 from .states import _pair_sums as _replay_sums, _require_normalized, _require_unit_norm
 # perfbench's tracer wraps partial_trace through this binding.
 from .states import partial_trace  # noqa: F401
@@ -87,18 +87,25 @@ _REPLAY_BYTES = 32 * 2**20
 
 
 def _raising_chunk(basis: SingletBasis) -> tuple[int, int]:
-    """Members per chunk of :func:`_raising_residuals`, and the bytes one chunk holds.
+    """Members per chunk of :func:`_raising_residuals`, and the bytes the check holds at once.
 
-    The raising image has at most ``T`` terms, the support entries above
-    label 0.  A member holds at most ``64 T`` bytes at once (its terms
-    twice beside its image, or its image and the image's squares); the
-    chunk also holds at most ``18 n + 560`` bytes per term for the image
-    digit rows, their sort words and indices.  Chunks stay within
-    ``_REPLAY_BYTES``, down to one member.
+    The raising image has ``T`` terms, the support entries above label
+    0, found once for all chunks (:func:`_raising_terms`).  Finding them
+    holds per term its image digit row, one sort word's digits cast to
+    int64 (``8 k`` bytes for ``k`` digits a word), 32 bytes per sort word
+    for the words, their sorted copy and their comparison, and 64 for
+    its column, weight, image entry and the sort's index arrays; the
+    raising matrix and the loop's small arrays add ``16 d**2`` bytes and
+    64 KiB.  A member holds at most ``64 T`` bytes at once (its terms
+    twice beside its image, or its image and the image's squares).
+    Chunks stay within ``_REPLAY_BYTES``, down to one member.
     """
+    n, d = basis.shape.n, basis.shape.d
     terms = int(np.count_nonzero(basis.support))
     chunk = max(1, min(basis.dimension, _REPLAY_BYTES // max(64 * terms, 1)))
-    return chunk, (64 * chunk + 18 * basis.shape.n + 560) * terms
+    step = _word_digits(d, n)
+    grouping = basis.support.itemsize * n + 8 * min(n, step) + 32 * -(-n // step) + 64
+    return chunk, (64 * chunk + grouping) * terms + 16 * d * d + 2**16
 
 
 def _replay_batch(basis: SingletBasis, trials: int) -> int:
@@ -264,15 +271,17 @@ def verify_certificate_numerically(
     gram_defect = float(np.abs(basis.gram() - np.eye(basis.dimension)).max())
     if gram_defect > limit:
         raise CertificateViolationError(f"basis is not orthonormal (Gram defect {gram_defect:.3e})")
+    terms = _raising_terms(basis.support, d)
     chunk = _raising_chunk(basis)[0]
     for first in range(0, basis.dimension, chunk):
-        residuals = _raising_residuals(basis.support, basis.amplitudes[first : first + chunk], d)
+        residuals = _raising_residuals(terms, basis.amplitudes[first : first + chunk], d)
         failing = np.flatnonzero(residuals > limit)
         if failing.size:
             raise CertificateViolationError(
                 f"basis member {first + failing[0]} is not collectively invariant "
                 f"(residual {residuals[failing[0]]:.3e})"
             )
+    del terms  # the replay's batches are priced without them
     actual = float(certificate.actual)
     floor = float(certificate.deficit_floor)
     rng = np.random.default_rng(seed)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from operator import index
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .states import DEFAULT_TOL, _weights, state_to_dict
 # cross_marginal through this binding.
 from .states import cross_marginal  # noqa: F401
 from .uniformity import pair_deficit
+
+if TYPE_CHECKING:
+    from random import Random
 
 __all__ = [
     "PairDeficitObjective",
@@ -144,9 +148,25 @@ class PairDeficitObjective:
         return value, weights @ products + scale * c
 
 
-def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Complex vector from one real draw of ``2 size`` normals: real half first."""
-    draw = rng.standard_normal(2 * size)
+def _generator(seed: int) -> Random:
+    """``random.Random(seed)`` for a seed ``>= 0``, read with ``operator.index`` as numpy reads it.
+
+    :class:`ValueError` on a negative seed, which ``random.Random`` would
+    silently fold onto its absolute value.
+    """
+    # Not a module-level import: ``import singletlab`` stays without it,
+    # though the interpreter's start-up has usually loaded it already.
+    import random
+
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _complex_normal(rng: Random, size: int) -> np.ndarray:
+    """Complex vector from ``2 size`` standard normal draws: real half first."""
+    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * size)])
     return draw[:size] + 1j * draw[size:]
 
 
@@ -255,8 +275,11 @@ def minimize_deficit(
 ) -> OptimizationResult:
     """Search the unit coefficient sphere for the least pair deficit.
 
-    Runs ``restarts`` seeded Levenberg-Marquardt descents and returns the
-    best endpoint.  A one-dimensional basis needs no search: up to
+    Runs ``restarts`` Levenberg-Marquardt descents and returns the best
+    endpoint.  Their start points are drawn from ``random.Random(seed)``,
+    ``2 r`` ``gauss`` draws each, real parts first, so one seed gives the
+    same restarts every time; a negative seed is a :class:`ValueError`.
+    A one-dimensional basis needs no search: up to
     phase there is only one state, so its deficit is returned directly
     with zero iterations.  The reported deficit is replayed with
     :func:`pair_deficit` on the reported state; :class:`ValueError` is
@@ -269,6 +292,7 @@ def minimize_deficit(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not np.isfinite(gtol) or gtol < 0.0:
         raise ValueError(f"gtol must be finite and >= 0, got {gtol}")
+    rng = _generator(seed)
     objective = PairDeficitObjective(basis)
     certificate = certify(basis.shape)
     floor = float(certificate.deficit_floor) if certificate.deficit_floor is not None else 0.0
@@ -276,7 +300,6 @@ def minimize_deficit(
         deficit = objective.value(np.ones(1, dtype=complex))
         outcomes = [(np.ones(1, dtype=complex), [deficit], True, 0)]
     else:
-        rng = np.random.default_rng(seed)
         outcomes = [
             _descend(objective, _complex_normal(rng, basis.dimension), max_iters, gtol)
             for _ in range(restarts)
@@ -297,7 +320,7 @@ def minimize_deficit(
         iterations=iterations,
         converged=converged,
         restarts=restarts,
-        seed=seed,
+        seed=index(seed),
         trajectory=tuple(trajectory),
         restart_deficits=tuple(outcome[1][-1] for outcome in outcomes),
         restart_iterations=tuple(outcome[3] for outcome in outcomes),
@@ -314,15 +337,17 @@ def gradient_check(
     """Worst mismatch between analytic and central-difference derivatives.
 
     Probes ``directions`` random tangent directions at the given point
-    (a seeded random unit point when none is supplied) and returns the
-    largest ``|finite difference - analytic| / max(1, |analytic|)``.
+    (a random unit point when none is supplied), all drawn from
+    ``random.Random(seed)`` like :func:`minimize_deficit`'s start points,
+    and returns the largest
+    ``|finite difference - analytic| / max(1, |analytic|)``.
     A one-dimensional basis has no tangent directions that change the
     state, so the check returns 0 there.
     """
+    rng = _generator(seed)
     objective = PairDeficitObjective(basis)
     if basis.dimension == 1:
         return 0.0
-    rng = np.random.default_rng(seed)
     r = basis.dimension
     c = _complex_normal(rng, r) if coefficients is None else np.asarray(coefficients, dtype=complex)
     c = c / np.linalg.norm(c)

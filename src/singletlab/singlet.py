@@ -40,7 +40,8 @@ from .states import (
     SupportProfile,
     SystemShape,
     _check_dense_memory,
-    _collective_image,
+    _collective_sum,
+    _collective_terms,
     _integer_field,
     _local_image,
     _canonical_phase,
@@ -435,7 +436,13 @@ def _transposition_sign(state: PureState, psi: np.ndarray, tol: float) -> tuple[
     return sign, residual
 
 
-def _raising_residuals(digits: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+def _raising_terms(digits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The :func:`_collective_terms` of ``E = sum_a E_a`` over ``digits``, with the image's size."""
+    columns, weights, inverse, first, _ = _collective_terms(digits, np.eye(d, k=1), d)
+    return columns, weights, inverse, first.size
+
+
+def _raising_residuals(digits: np.ndarray | tuple, rows: np.ndarray, d: int) -> np.ndarray:
     """``(sum_a ||E_a b||**2)**0.5`` of each balanced amplitude row ``b`` over ``digits``.
 
     ``E_a = sum_i e^(i)_{a,a+1}`` (``a < d - 1``) are the collective
@@ -444,8 +451,11 @@ def _raising_residuals(digits: np.ndarray, rows: np.ndarray, d: int) -> np.ndarr
     one-dimensional ``det**K`` representation: a singlet.  On a balanced
     row each ``E_a`` lands on its own occupation profile, so the figure
     is ``||E b||`` for ``E = sum_a E_a``, one sparse image per row.
+    ``digits`` may also be given as its :func:`_raising_terms`, which
+    ``verify`` finds once for all its chunks of rows.
     """
-    image = _collective_image(digits, rows, np.eye(d, k=1), d)[1]
+    terms = digits if isinstance(digits, tuple) else _raising_terms(digits, d)
+    image = _collective_sum(rows, *terms)
     return np.sqrt((image.real**2 + image.imag**2).sum(axis=1))
 
 

@@ -204,6 +204,11 @@ def _weights(d: int, width: int) -> np.ndarray:
     return d ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
+def _word_digits(d: int, width: int) -> int:
+    """Digits that :func:`_group_rows` packs into one sort word."""
+    return max(1, width if d == 1 else int(62 // math.log2(d)))
+
+
 def _group_rows(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a digit matrix, in lexicographic order.
 
@@ -213,7 +218,7 @@ def _group_rows(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     whole row fits, several compared in order when not (as at n = 70).
     """
     count, width = rows.shape
-    step = max(1, width if d == 1 else int(62 // math.log2(d)))
+    step = _word_digits(d, width)
     starts = range(0, max(width, 1), step)
     keys = np.stack([rows[:, lo : lo + step] @ _weights(d, min(step, width - lo)) for lo in starts])
     order = np.lexsort(keys[::-1])
@@ -601,28 +606,47 @@ def permute_particles(state: PureState, omega: Sequence[int]) -> PureState:
     return PureState._from_arrays(state.shape, state.digits[:, omega], state.values)
 
 
-def _collective_image(
-    digits: np.ndarray, rows: np.ndarray, matrix: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``sum_a g^(a)`` on each amplitude row over ``digits``: the image's sorted digits and rows.
+def _collective_terms(digits: np.ndarray, matrix: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """Terms of ``sum_a g^(a)`` over ``digits``, grouped by the image row each lands on.
 
-    Each image entry sums its terms in the same order whatever the number of rows.
+    Returns ``(columns, weights, inverse, first, images)``: term ``t``
+    adds ``weights[t]`` times an amplitude row's entry ``columns[t]`` to
+    its image entry ``inverse[t]``; ``images`` holds each term's image
+    digit row and ``images[first]`` the image's distinct rows, sorted.
+    The terms depend on ``digits`` alone, so they serve any number of rows.
     """
-    images, values = [], []
-    for site in range(digits.shape[1]):
+    n = digits.shape[1]
+    # An entry of label v makes one term per target that g maps v to.
+    labels = sum(np.bincount(column, minlength=d) for column in digits.T)
+    size = int(labels @ np.count_nonzero(matrix, axis=0))
+    images = np.empty((size, n), dtype=digits.dtype)
+    columns = np.empty(size, dtype=np.intp)
+    weights = np.empty(size, dtype=matrix.dtype)
+    end = 0
+    for site in range(n):
         for target in range(d):
             weight = matrix[target, digits[:, site]]
             hit = np.flatnonzero(weight)
-            image = digits[hit]
-            image[:, site] = target
-            images.append(image)
-            values.append(weight[hit] * rows[:, hit])
-    images = np.concatenate(images)
+            start, end = end, end + hit.size
+            images[start:end] = digits[hit]
+            images[start:end, site] = target
+            columns[start:end] = hit
+            weights[start:end] = weight[hit]
     inverse, first = _group_rows(images, d)
-    total = np.zeros((len(rows), first.size), dtype=complex)
-    for row, terms in zip(total, np.concatenate(values, axis=1)):
+    return columns, weights, inverse, first, images
+
+
+def _collective_sum(
+    rows: np.ndarray, columns: np.ndarray, weights: np.ndarray, inverse: np.ndarray, size: int
+) -> np.ndarray:
+    """Image of each amplitude row under the :func:`_collective_terms` ``columns, weights, inverse``.
+
+    Each image entry sums its terms in the same order whatever the number of rows.
+    """
+    total = np.zeros((len(rows), size), dtype=complex)
+    for row, terms in zip(total, weights * rows[:, columns]):
         np.add.at(row, inverse, terms)
-    return images[first], total
+    return total
 
 
 def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
@@ -631,14 +655,15 @@ def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
     This is the infinitesimal counterpart of :func:`apply_local` and is
     what annihilates collectively invariant states when ``g`` is
     traceless.  Sparse: cost is ``O(terms * n * d)``.  The one-row case
-    of :func:`_collective_image`, which ``verify`` runs on its members.
+    of the sums ``verify`` runs on its members.
     """
     g = np.asarray(matrix, dtype=complex)
     d = state.shape.d
     if g.shape != (d, d):
         raise ValueError(f"generator must be {d}x{d}, got {g.shape}")
-    digits, total = _collective_image(state.digits, state.values[None], g, d)
-    return PureState._from_arrays(state.shape, digits, total[0])
+    columns, weights, inverse, first, images = _collective_terms(state.digits, g, d)
+    total = _collective_sum(state.values[None], columns, weights, inverse, first.size)
+    return PureState._from_arrays(state.shape, images[first], total[0])
 
 
 def superpose(

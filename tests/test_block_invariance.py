@@ -10,6 +10,7 @@ Haar loop (one ``verify_invariance`` per member), and trials drawn as
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,67 @@ def test_unbalanced_members_are_named_before_any_other_check(basis_cache, member
     basis = with_member(basis_cache(4, 2), 1, member)
     with pytest.raises(CertificateViolationError, match="^basis member 1 does not have balanced"):
         verify_certificate_numerically(basis, trials=2, seed=0)
+
+
+def singlet_pairs_basis(n):
+    """One-member basis of ``n // 2`` adjacent two-qubit singlets."""
+    shape = SystemShape(n, 2)
+    words = itertools.product([(0, 1), (1, 0)], repeat=n // 2)
+    pairs = {sum(word, ()): (-1) ** sum(a for a, _ in word) * 2 ** (-n / 4) for word in words}
+    return SingletBasis(shape, 1e-9, [PureState(shape, pairs)])
+
+
+def product_basis_1100():
+    """Two balanced, orthonormal product members on 1100 qubits, neither invariant."""
+    shape = SystemShape(1100, 2)
+    words = ((0, 1) * 550, (1, 0) * 550)
+    return SingletBasis(shape, 1e-9, [PureState(shape, {word: 1.0}) for word in words])
+
+
+class ReplayReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "build,outcome",
+    [
+        (lambda: singlet_pairs_basis(24), ReplayReached),
+        (lambda: product_basis_1100(), CertificateViolationError),
+    ],
+    ids=["pairs-24", "products-1100"],
+)
+def test_raising_check_peak_stays_under_its_price(monkeypatch, build, outcome):
+    # The old price, 18 n + 560 bytes per term for the sort data, was
+    # 4.4 and 7.3 times these peaks.
+    basis = build()
+
+    def stop(*args):
+        raise ReplayReached
+
+    monkeypatch.setattr(nogo, "_random_amplitudes", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(outcome):
+            verify_certificate_numerically(basis, trials=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    price = nogo._raising_chunk(basis)[1]
+    assert peak <= price <= 3 * peak
+
+
+def test_raising_terms_are_found_once_per_verify(basis_cache, monkeypatch):
+    basis = basis_cache(8, 2)
+    calls = []
+    terms = nogo._raising_terms
+
+    def counted(digits, d):
+        calls.append(d)
+        return terms(digits, d)
+
+    monkeypatch.setattr(nogo, "_raising_terms", counted)
+    monkeypatch.setattr(nogo, "_REPLAY_BYTES", 1)
+    assert verify_certificate_numerically(basis, trials=2, seed=0).passed
+    assert nogo._raising_chunk(basis)[0] == 1 < basis.dimension
+    assert calls == [2]
+

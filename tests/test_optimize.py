@@ -1,5 +1,9 @@
 """Tests for the pair-deficit objective and the sphere-constrained search."""
 
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +25,7 @@ from singletlab import (
     pair_deficit,
     permute_particles,
     result_to_dict,
+    save_basis,
 )
 
 
@@ -378,7 +383,7 @@ class TestLeastSquaresDescent:
             numeric = (forward - backward) / (2.0 * step)
             assert_allclose((rows.conj() @ direction).real, numeric, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("n,d", [(8, 2), (8, 4)])
+    @pytest.mark.parametrize("n,d", [(8, 2), (8, 4), (6, 3)])
     def test_every_restart_converges_in_tens_of_iterations(self, n, d, basis_cache, monkeypatch):
         # First-order descent spent up to 7 223 iterations of one (8,2)
         # restart (seed 2) and 4 450 of one (8,4) restart in a sublinear
@@ -420,3 +425,67 @@ class TestLeastSquaresDescent:
         # run to a stall or the cap and come back not converged.
         with pytest.raises(ValueError, match="gtol"):
             minimize_deficit(basis_cache(4, 2), gtol=gtol)
+
+
+class TestSeeding:
+    """Start points come from ``random.Random(seed)``, under numpy's seed contract."""
+
+    def test_start_points_are_gauss_draws_real_half_first(self, basis_cache, monkeypatch):
+        basis = basis_cache(6, 3)
+        r = basis.dimension
+        starts = []
+        descend = optimize._descend
+
+        def recorded_descend(objective, start, *args):
+            starts.append(start)
+            return descend(objective, start, *args)
+
+        monkeypatch.setattr(optimize, "_descend", recorded_descend)
+        minimize_deficit(basis, restarts=3, seed=11)
+        rng = random.Random(11)
+        for start in starts:
+            draws = [rng.gauss(0.0, 1.0) for _ in range(2 * r)]
+            assert start.tolist() == [complex(x, y) for x, y in zip(draws[:r], draws[r:])]
+        assert len(starts) == 3
+
+    def test_negative_seed_is_a_value_error(self, basis_cache):
+        # random.Random(-1) would silently equal random.Random(1).
+        basis = basis_cache(4, 2)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            minimize_deficit(basis, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            gradient_check(basis, seed=-1)
+
+    def test_non_integer_seed_is_a_type_error(self, basis_cache):
+        with pytest.raises(TypeError):
+            minimize_deficit(basis_cache(4, 2), seed=1.5)
+
+    def test_numpy_integer_seed_matches_the_int(self, basis_cache):
+        basis = basis_cache(6, 3)
+        result = minimize_deficit(basis, restarts=4, seed=np.int64(3))
+        assert result == minimize_deficit(basis, restarts=4, seed=3)
+        assert type(result.seed) is int
+        assert result_to_dict(result, basis) == result_to_dict(
+            minimize_deficit(basis, restarts=4, seed=3), basis
+        )
+        assert gradient_check(basis, seed=np.int64(3)) == gradient_check(basis, seed=3)
+
+    def test_optimize_leaves_numpy_random_unimported(self, basis_cache, tmp_path):
+        basis_path = str(tmp_path / "basis_8_4.json")
+        save_basis(basis_cache(8, 4), basis_path, phase="trivial")
+        code = (
+            "import sys\n"
+            "from singletlab import cli\n"
+            "code = cli.main(['optimize', '--basis', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, basis_path, str(tmp_path / "best_8_4.json")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert "converged: yes" in proc.stdout.splitlines()
