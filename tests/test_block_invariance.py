@@ -284,7 +284,7 @@ class ReplayReached(Exception):
     "build,outcome",
     [
         (lambda: singlet_pairs_basis(24), ReplayReached),
-        (lambda: product_basis_1100(), CertificateViolationError),
+        (product_basis_1100, CertificateViolationError),
     ],
     ids=["pairs-24", "products-1100"],
 )
