@@ -7,6 +7,11 @@ certificate is violated), and 2 for usage, parse, or I/O errors and for
 a shape whose basis cannot be built (rank check failed, out of memory).
 
 Every JSON artifact records the tolerance and seed that produced it.
+
+Invariance and the permutation phase follow one exact rule in every
+command, read on the support with the collective raising operators
+(:func:`~singletlab.singlet.phase_stamp`); only ``verify``'s trials and
+``optimize``'s restarts draw random numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import permutations
 
 from . import _json
 from .nogo import (
@@ -28,16 +32,18 @@ from .optimize import minimize_deficit, result_to_dict
 from .singlet import (
     PhaseFunctionError,
     SubspaceRankError,
+    adjacent_transpositions,
     basis_from_dict,
     check_sign_relation,
     expected_dimension,
-    extract_phase_function,
+    invariance_limit,
+    invariance_residual,
     load_basis,
     build_singlet_basis,
     check_memory,
     measure_phase,
+    phase_stamp,
     save_basis,
-    verify_invariance,
 )
 from .states import DEFAULT_TOL, SupportProfile, SystemShape, load_state, state_from_dict
 from .uniformity import is_k_uniform, report_to_dict
@@ -74,21 +80,16 @@ def cmd_subspace(args: argparse.Namespace) -> int:
 
 def cmd_check_invariance(args: argparse.Namespace) -> int:
     state = load_state(args.state)
-    residual = verify_invariance(state, samples=args.samples, seed=args.seed)
-    passed = residual <= args.tol
-    print(f"samples: {args.samples}")
-    print(f"residual: {residual:.12g}")
+    residual = invariance_residual(state, args.tol)
+    limit = invariance_limit(args.tol)
+    passed = residual is not None and residual <= limit
+    print(f"balanced support: {'yes' if residual is not None else 'no'}")
+    if residual is not None:
+        print(f"residual: {residual:.12g}")
     print(f"invariant: {'yes' if passed else 'no'}")
-    _write(
-        {
-            "samples": args.samples,
-            "seed": args.seed,
-            "tolerance": args.tol,
-            "residual": residual,
-            "invariant": passed,
-        },
-        args.out,
-    )
+    document = {"seed": args.seed, "tolerance": args.tol, "limit": limit, "residual": residual}
+    document["invariant"] = passed
+    _write(document, args.out)
     return 0 if passed else 1
 
 
@@ -119,29 +120,26 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     results = []
     for position, member in enumerate(members):
         d = member.shape.d
-        profile = member.common_profile()
-        constant_counts = profile is not None
+        constant_counts = member.common_profile() is not None
         balanced = member.has_uniform_support()
         try:
-            report = extract_phase_function(
-                member, samples=args.samples, seed=args.seed, tol=args.tol
-            )
-            dichotomy = True
-            phase = report.permutation_phase
-            det_power = report.det_power
-            residual = report.residual
+            report = phase_stamp(member, args.tol)
+            phase, det_power, residual = report.permutation_phase, report.det_power, report.residual
         except PhaseFunctionError as exc:
-            dichotomy = False
-            phase = None
-            det_power = None
-            residual = None
+            phase = det_power = residual = None
             print(f"member {position}: phase measurement failed: {exc}")
+        dichotomy = phase is not None
+        # A label permutation is a product of at most d(d-1)/2 adjacent
+        # transpositions.  check_sign_relation bounds a transposition's largest
+        # entry of |tau psi - f(tau) psi| (tau is its own inverse, so the rows it
+        # compares cover both supports), relabeling keeps largest entries, and by
+        # the triangle inequality tol / (d(d-1)/2) per generator holds all d! within tol.
+        generator_tol = args.tol / max(1, d * (d - 1) // 2)
         sign_relation = dichotomy and all(
-            check_sign_relation(member, perm, phase, args.tol)
-            for perm in permutations(range(d))
+            check_sign_relation(member, swap, phase, generator_tol)
+            for swap in adjacent_transpositions(d)
         )
-        member_ok = constant_counts and balanced and dichotomy and sign_relation
-        all_passed = all_passed and member_ok
+        all_passed = all_passed and constant_counts and balanced and dichotomy and sign_relation
         print(
             f"member {position}: dichotomy={'pass' if dichotomy else 'FAIL'}"
             + (f" ({phase}, det power {det_power})" if dichotomy else "")
@@ -149,29 +147,15 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
             + f", constant-counts={'pass' if constant_counts else 'FAIL'}"
             + f", balanced-support={'pass' if balanced else 'FAIL'}"
         )
-        results.append(
-            {
-                "member": position,
-                "dichotomy": dichotomy,
-                "permutation_phase": phase,
-                "det_power": det_power,
-                "phase_residual": residual,
-                "sign_relation": sign_relation,
-                "constant_counts": constant_counts,
-                "balanced_support": balanced,
-            }
-        )
+        results.append(dict(
+            member=position, dichotomy=dichotomy, permutation_phase=phase, det_power=det_power,
+            phase_residual=residual, sign_relation=sign_relation,
+            constant_counts=constant_counts, balanced_support=balanced,
+        ))
     print(f"all lemma checks: {'pass' if all_passed else 'FAIL'}")
-    _write(
-        {
-            "seed": args.seed,
-            "samples": args.samples,
-            "tolerance": args.tol,
-            "members": results,
-            "passed": all_passed,
-        },
-        args.out,
-    )
+    document = {"seed": args.seed, "tolerance": args.tol, "members": results}
+    document["passed"] = all_passed
+    _write(document, args.out)
     return 0 if all_passed else 1
 
 
@@ -246,71 +230,44 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="random seed, >= 0 (default 0)")
     common.add_argument("--out", default=None, help="write a JSON artifact to this path")
 
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--n", type=int, required=True, help="number of particles")
+    shape.add_argument("--d", type=int, required=True, help="levels per particle")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "subspace", parents=[common], help="build the invariant subspace for a shape"
-    )
-    p.add_argument("--n", type=int, required=True, help="number of particles")
-    p.add_argument("--d", type=int, required=True, help="levels per particle")
-    p.set_defaults(handler=cmd_subspace)
+    def command(name, handler, text, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
+    command("subspace", cmd_subspace, "build the invariant subspace for a shape", shape)
+    p = command(
         "check-invariance",
-        parents=[common],
-        help="residual of collective phase covariance for a state file",
+        cmd_check_invariance,
+        "exact collective invariance of a state file: balanced support, then the "
+        "collective raising residual against max(tol, 1e-12) * 100",
     )
     p.add_argument("--state", required=True, help="state JSON file")
-    p.add_argument("--samples", type=int, default=20, help="Haar samples (default 20)")
-    p.set_defaults(handler=cmd_check_invariance)
-
-    p = sub.add_parser(
-        "uniformity", parents=[common], help="k-uniformity report for a state file"
-    )
+    p = command("uniformity", cmd_uniformity, "k-uniformity report for a state file")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--k", type=int, required=True, help="subsystem size")
-    p.set_defaults(handler=cmd_uniformity)
-
-    p = sub.add_parser(
+    p = command(
         "verify-lemmas",
-        parents=[common],
-        help="phase dichotomy, sign relation, and support checks for a basis or state file",
+        cmd_verify_lemmas,
+        "exact phase dichotomy, sign relation on the d - 1 adjacent label "
+        "transpositions, and support checks for a basis or state file",
     )
     p.add_argument("--basis", required=True, help="basis or state JSON file")
-    p.add_argument("--samples", type=int, default=8, help="Haar samples (default 8)")
-    p.set_defaults(handler=cmd_verify_lemmas)
-
-    p = sub.add_parser(
-        "certify", parents=[common], help="exact counting certificate for a shape"
-    )
-    p.add_argument("--n", type=int, required=True, help="number of particles")
-    p.add_argument("--d", type=int, required=True, help="levels per particle")
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="replay the certificate on random states from a basis file",
-    )
+    command("certify", cmd_certify, "exact counting certificate for a shape", shape)
+    p = command("verify", cmd_verify, "replay the certificate on random states from a basis file")
     p.add_argument("--basis", required=True, help="basis JSON file")
     p.add_argument("--trials", type=int, default=100, help="random states (default 100)")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser(
-        "optimize",
-        parents=[common],
-        help="minimize the pair deficit over a basis file",
-    )
+    p = command("optimize", cmd_optimize, "minimize the pair deficit over a basis file")
     p.add_argument("--basis", required=True, help="basis JSON file")
     p.add_argument("--restarts", type=int, default=16, help="random restarts (default 16)")
     p.add_argument(
-        "--max-iters",
-        dest="max_iters",
-        type=int,
-        default=10000,
-        help="iteration cap per restart (default 10000)",
+        "--max-iters", type=int, default=10000, help="iteration cap per restart (default 10000)"
     )
-    p.set_defaults(handler=cmd_optimize)
 
     return parser
 

@@ -22,10 +22,11 @@ from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, _raising_residuals, _raising_terms, _random_amplitudes
+from .singlet import SingletBasis, _random_amplitudes, invariance_limit
+from .singlet import _raising_price, _raising_residuals, _raising_terms
 # perfbench's tracer wraps verify_invariance through this binding.
 from .singlet import verify_invariance  # noqa: F401
-from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory, _word_digits
+from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory
 from .states import _pair_sums as _replay_sums, _require_normalized, _require_unit_norm
 # perfbench's tracer wraps partial_trace through this binding.
 from .states import partial_trace  # noqa: F401
@@ -89,23 +90,13 @@ _REPLAY_BYTES = 32 * 2**20
 def _raising_chunk(basis: SingletBasis) -> tuple[int, int]:
     """Members per chunk of :func:`_raising_residuals`, and the bytes the check holds at once.
 
-    The raising image has ``T`` terms, the support entries above label
-    0, found once for all chunks (:func:`_raising_terms`).  Finding them
-    holds per term its image digit row, one sort word's digits cast to
-    int64 (``8 k`` bytes for ``k`` digits a word), 32 bytes per sort word
-    for the words, their sorted copy and their comparison, and 64 for
-    its column, weight, image entry and the sort's index arrays; the
-    raising matrix and the loop's small arrays add ``16 d**2`` bytes and
-    64 KiB.  A member holds at most ``64 T`` bytes at once (its terms
-    twice beside its image, or its image and the image's squares).
-    Chunks stay within ``_REPLAY_BYTES``, down to one member.
+    That is the :func:`_raising_price` of one chunk.  A member holds at
+    most ``64 T`` bytes for the ``T`` terms of the raising image, so
+    chunks stay within ``_REPLAY_BYTES``, down to one member.
     """
-    n, d = basis.shape.n, basis.shape.d
     terms = int(np.count_nonzero(basis.support))
     chunk = max(1, min(basis.dimension, _REPLAY_BYTES // max(64 * terms, 1)))
-    step = _word_digits(d, n)
-    grouping = basis.support.itemsize * n + 8 * min(n, step) + 32 * -(-n // step) + 64
-    return chunk, (64 * chunk + grouping) * terms + 16 * d * d + 2**16
+    return chunk, _raising_price(basis.support, basis.shape.d, chunk)
 
 
 def _replay_batch(basis: SingletBasis, trials: int) -> int:
@@ -123,7 +114,8 @@ def _replay_batch(basis: SingletBasis, trials: int) -> int:
     n, d = basis.shape.n, basis.shape.d
     support = len(basis.support)
     per_trial = (32 + 32 * d * d) * support
-    batch = max(1, min(trials, _REPLAY_BYTES // per_trial))
+    # A basis whose members store no row has an empty support; its balanced check fails.
+    batch = max(1, min(trials, _REPLAY_BYTES // max(per_trial, 1)))
     what = f"of n={n} sites with d={d} levels"
     _require_memory(batch * per_trial + n * support, f"replaying pair marginals {what}")
     _require_memory(_raising_chunk(basis)[1], f"the raising images {what}")
@@ -267,7 +259,7 @@ def verify_certificate_numerically(
         raise CertificateViolationError(
             f"basis member {np.argmax(unbalanced)} does not have balanced support"
         )
-    limit = max(tol, 1e-12) * 100
+    limit = invariance_limit(tol)
     gram_defect = float(np.abs(basis.gram() - np.eye(basis.dimension)).max())
     if gram_defect > limit:
         raise CertificateViolationError(f"basis is not orthonormal (Gram defect {gram_defect:.3e})")

@@ -12,11 +12,13 @@ kernel computation, and held as one matrix: every member's amplitudes
 on the shared balanced support.
 
 The phase picked up under a one-site unitary ``U`` is measured, not
-assumed: label permutations are applied exactly and must return the
-state times +1 or -1.  :func:`extract_phase_function` fits Haar-random
-unitaries against integer powers of ``det(U)``; the phase stamped on a
-basis document is exact instead, from the collective raising operators,
-and draws nothing.
+assumed, by one exact rule on the support (:func:`phase_stamp`): a unit
+state on balanced support that the collective raising operators
+annihilate spans the ``det(U)**K`` representation, and its adjacent
+label transpositions, applied by relabeling, must return it times the
+sign ``(-1)**K``.  It forms no ``d**n`` vector and draws nothing.
+:func:`verify_invariance` and :func:`extract_phase_function` are the
+dense Haar-sampled witnesses of the same facts.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .states import (
     _require_normalized,
     _state_document,
     _weights,
+    _word_digits,
     apply_local,
     enumerate_support,
     joint_amplitudes,
@@ -72,6 +75,8 @@ __all__ = [
     "verify_invariance",
     "extract_phase_function",
     "check_sign_relation",
+    "invariance_residual",
+    "phase_stamp",
     "measure_phase",
     "basis_to_dict",
     "basis_from_dict",
@@ -256,20 +261,14 @@ def check_memory(shape: SystemShape, document: bool = False) -> None:
 
     Counts the support list (a tuple and a list slot per multi-index,
     plus its int64 array) and four floats per ``dimension x support``
-    entry: the echelon rows, ``Q`` and LAPACK's working copies during
-    the QR, more than ``Q`` and the one complex amplitude matrix kept
-    after it (the basis holds no per-member digit rows), against the
-    soft address-space limit when one is set and physical memory
-    otherwise.  With ``document`` it also counts
-    the artifact of :func:`basis_to_dict` and its JSON text: a dict, an
-    ``n``-entry index list and two floats per amplitude, about
-    ``300 + 8 n`` bytes, and up to 200 bytes more while encoding.
-    :func:`save_basis` builds no such dicts: it holds one text per
-    support row and, one member at a time, that member's piece table
-    (three references per stored amplitude), the texts of its distinct
-    real and imaginary parts and its joined text, so that term
-    over-counts what ``subspace`` uses; it is kept because it is what
-    refuses (12,3) before the build.
+    entry (the echelon rows, ``Q`` and LAPACK's working copies during the
+    QR, more than ``Q`` and the complex amplitude matrix kept after it),
+    against the soft address-space limit when one is set and physical
+    memory otherwise.  With ``document`` it also counts the artifact of
+    :func:`basis_to_dict` and its JSON text, about ``500 + 8 n`` bytes per
+    amplitude.  :func:`save_basis` builds no such dicts (it holds one
+    member's texts at a time), so that term over-counts what ``subspace``
+    uses; it is kept because it is what refuses (12,3) before the build.
     Shapes ``d`` does not divide build nothing and always pass.
     """
     if not shape.divisible:
@@ -384,8 +383,8 @@ def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> flo
     ``||image - phase psi||``, the part that phase cannot explain.
     Returns the maximum residual; a singlet gives roundoff, anything
     else gives an order-one value.  This is the numerical witness of the
-    definition; ``verify`` checks a basis exactly instead, with the
-    collective raising operators.  Raises :class:`ValueError` for fewer
+    definition; the commands check exactly instead
+    (:func:`invariance_residual`).  Raises :class:`ValueError` for fewer
     than one sample or an unnormalized state, and :class:`MemoryError`
     before allocating when about ``64 * d**n`` bytes (four dense
     vectors) exceed the available memory.
@@ -402,37 +401,34 @@ def verify_invariance(state: PureState, samples: int = 20, seed: int = 0) -> flo
     return worst
 
 
-def _transposition_sign(state: PureState, psi: np.ndarray, tol: float) -> tuple[int | None, float]:
+def adjacent_transpositions(d: int) -> list[tuple[int, ...]]:
+    """The ``d - 1`` label transpositions ``(k, k + 1)``, one-line; they generate all ``d!``."""
+    return [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, d)) for k in range(d - 1)]
+
+
+def _transposition_sign(state: PureState, tol: float) -> tuple[int | None, float]:
     """Common sign of the adjacent label transpositions on ``state``, and the worst gap.
 
-    Every adjacent label transposition is applied exactly, by relabeling
-    the stored multi-indices, and compared with ``psi``, the state's
-    dense vector; each must return ``psi`` times +1 or -1 within ``tol``
-    and all must agree on the sign (None at ``d = 1``, which has none).
-    Raises :class:`PhaseFunctionError` otherwise.
+    Each relabels the stored multi-indices exactly and is compared with
+    the state on their joint support, as in :func:`check_sign_relation`;
+    each must return the state times +1 or -1 within ``tol`` and all must
+    agree on the sign (None at ``d = 1``, which has none).  Raises
+    :class:`PhaseFunctionError` otherwise.
     """
-    n, d = state.shape.n, state.shape.d
-    weights = _weights(d, n)
-    residual = 0.0
-    sign: int | None = None
-    for k in range(d - 1):
-        swap = np.arange(d)
-        swap[k], swap[k + 1] = k + 1, k
-        image = np.zeros_like(psi)
-        image[swap[state.digits] @ weights] = state.values
-        gap_plus = float(np.linalg.norm(image - psi))
-        gap_minus = float(np.linalg.norm(image + psi))
-        if min(gap_plus, gap_minus) > tol:
+    residual, sign = 0.0, None
+    for k, swap in enumerate(adjacent_transpositions(state.shape.d)):
+        image = apply_local(state, LocalOperator.basis_permutation(swap))
+        _, (amps, moved) = joint_amplitudes([state, image])
+        gaps = float(np.linalg.norm(moved - amps)), float(np.linalg.norm(moved + amps))
+        if min(gaps) > tol:
             raise PhaseFunctionError(
                 f"transposition ({k},{k + 1}) returns neither +state nor -state "
-                f"(gaps {gap_plus:.3e}, {gap_minus:.3e})"
+                f"(gaps {gaps[0]:.3e}, {gaps[1]:.3e})"
             )
-        this = 1 if gap_plus <= gap_minus else -1
-        residual = max(residual, min(gap_plus, gap_minus))
-        if sign is None:
-            sign = this
-        elif sign != this:
+        this = 1 if gaps[0] <= gaps[1] else -1
+        if sign not in (None, this):
             raise PhaseFunctionError("adjacent transpositions disagree on the sign")
+        sign, residual = this, max(residual, min(gaps))
     return sign, residual
 
 
@@ -440,6 +436,24 @@ def _raising_terms(digits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, 
     """The :func:`_collective_terms` of ``E = sum_a E_a`` over ``digits``, with the image's size."""
     columns, weights, inverse, first, _ = _collective_terms(digits, np.eye(d, k=1), d)
     return columns, weights, inverse, first.size
+
+
+def _raising_price(digits: np.ndarray, d: int, members: int) -> int:
+    """Bytes :func:`_raising_residuals` holds at once for ``members`` rows over ``digits``.
+
+    The image has ``T`` terms, the entries of ``digits`` above label 0.
+    Finding them (:func:`_raising_terms`) holds per term its image digit
+    row, one sort word's digits cast to int64 (``8 k`` bytes for ``k``
+    digits a word), 32 bytes per sort word (the words, their sorted copy
+    and their comparison) and 64 for its column, weight, image entry and
+    the sort's indices; the raising matrix and small arrays add
+    ``16 d**2`` bytes and 64 KiB.  A member holds at most ``64 T`` bytes
+    (its terms twice beside its image, or its image and its squares).
+    """
+    n = digits.shape[1]
+    step = _word_digits(d, n)
+    grouping = digits.itemsize * n + 8 * min(n, step) + 32 * -(-n // step) + 64
+    return (64 * members + grouping) * int(np.count_nonzero(digits)) + 16 * d * d + 2**16
 
 
 def _raising_residuals(digits: np.ndarray | tuple, rows: np.ndarray, d: int) -> np.ndarray:
@@ -457,6 +471,28 @@ def _raising_residuals(digits: np.ndarray | tuple, rows: np.ndarray, d: int) -> 
     terms = digits if isinstance(digits, tuple) else _raising_terms(digits, d)
     image = _collective_sum(rows, *terms)
     return np.sqrt((image.real**2 + image.imag**2).sum(axis=1))
+
+
+def invariance_limit(tol: float) -> float:
+    """The largest raising residual read as invariant, ``max(tol, 1e-12) * 100`` (``verify``'s)."""
+    return max(tol, 1e-12) * 100
+
+
+def invariance_residual(state: PureState, tol: float = DEFAULT_TOL) -> float | None:
+    """:func:`_raising_residuals` of a unit state, or None when its support is not balanced.
+
+    A balanced state is invariant exactly when this is 0, read as within
+    :func:`invariance_limit`.  Raises :class:`ValueError` when the norm is
+    not 1 within ``tol``, and :class:`MemoryError` when the image's
+    :func:`_raising_price` does not fit, before forming it.
+    """
+    _require_normalized(state, tol)
+    if not state.has_uniform_support():
+        return None
+    n, d = state.shape.n, state.shape.d
+    price = _raising_price(state.digits, d, 1)
+    _require_memory(price, f"the raising image of n={n} sites with d={d} levels")
+    return float(_raising_residuals(state.digits, state.values[None], d)[0])
 
 
 @dataclass(frozen=True)
@@ -483,13 +519,13 @@ def extract_phase_function(
 ) -> PhaseFunctionReport:
     """Measure how unitaries and label permutations rephase a singlet.
 
-    The state is expanded once into its dense ``d**n`` vector ``psi``.
-    Every adjacent label transposition is applied to it exactly, by
-    relabeling the stored multi-indices; each must return ``psi`` times
-    +1 or -1 and all must agree on the sign.  Haar samples (with the
-    determinant phase conditioned away from 1 so the principal logarithm
-    is unambiguous) then read ``<psi|U^(x)n psi>``, one GEMM per site,
-    and fit the integer power ``m`` in ``det(U)**m``.  The two
+    Every adjacent label transposition is applied exactly, on the
+    support (:func:`_transposition_sign`); each must return the state
+    times +1 or -1 and all must agree on the sign.  Haar samples (with
+    the determinant phase conditioned away from 1 so the principal
+    logarithm is unambiguous) then read ``<psi|U^(x)n psi>`` on the dense
+    ``d**n`` vector ``psi``, one GEMM per site, and fit the integer
+    power ``m`` in ``det(U)**m``.  The two
     measurements must agree in parity: the sign under transpositions is
     minus exactly when ``m`` is odd.
 
@@ -499,9 +535,9 @@ def extract_phase_function(
     bytes (four dense vectors) exceed the available memory.
     """
     _require_sampling(state, samples, tol)
+    sign, residual = _transposition_sign(state, tol)
     psi = state.to_dense()
     n, d = state.shape.n, state.shape.d
-    sign, residual = _transposition_sign(state, psi, tol)
     permutation_phase = PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
 
     rng = np.random.default_rng(seed)
@@ -539,6 +575,30 @@ def extract_phase_function(
     )
 
 
+def phase_stamp(state: PureState, tol: float = DEFAULT_TOL) -> PhaseFunctionReport:
+    """How unitaries and label permutations rephase a singlet, read exactly on its support.
+
+    The state needs an :func:`invariance_residual` within
+    :func:`invariance_limit` and one common sign under the adjacent label
+    transpositions (:func:`_transposition_sign`).  It then spans the
+    ``det**K`` representation, ``K = n // d``, so that is the det power
+    and, for ``d >= 2``, the sign must be ``(-1)**K``.  A failed check
+    raises :class:`PhaseFunctionError`, except a norm off 1 by more than
+    ``tol``, a plain :class:`ValueError`.  The residual is the worst gap.
+    """
+    residual = invariance_residual(state, tol)
+    if residual is None:
+        raise PhaseFunctionError("state is not on balanced support")
+    sign, gap = _transposition_sign(state, tol)
+    if residual > invariance_limit(tol):
+        raise PhaseFunctionError(f"state is not collectively invariant (residual {residual:.3e})")
+    copies = state.shape.copies
+    if state.shape.d >= 2 and (sign == -1) != (copies % 2 == 1):
+        raise PhaseFunctionError(f"transposition sign {sign} contradicts K = {copies}")
+    phase = PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
+    return PhaseFunctionReport(phase, det_power=copies, residual=max(gap, residual))
+
+
 def check_sign_relation(
     state: PureState,
     perm: Sequence[int],
@@ -573,32 +633,16 @@ def all_label_permutations(d: int):
 def measure_phase(basis: SingletBasis, seed: int = 0) -> str | None:
     """Permutation phase of the first member, or None for an empty basis.
 
-    Stamped exactly, drawing nothing: the member must be normalized and
-    balanced, return times one common sign under every adjacent label
-    transposition (:func:`_transposition_sign`), and be annihilated by
-    the collective raising operators within ``verify``'s limit
-    (:func:`_raising_residuals`).  It then spans the ``det**K``
-    representation, so for ``d >= 2`` the sign is -1 exactly when
-    ``K = n // d`` is odd.  A failed check raises
-    :class:`PhaseFunctionError`.  It is the ``permutation_phase`` of the
-    basis documents, which record ``seed``; the phase does not depend on it.
+    The :func:`phase_stamp` of member 0, raising :class:`PhaseFunctionError`
+    for a member that is not a unit state.  It is the ``permutation_phase``
+    of basis documents, which record ``seed``; the phase does not depend on it.
     """
     if not basis.dimension:
         return None
-    state, tol = basis[0], DEFAULT_TOL
-    if not (state.is_normalized(tol) and state.has_uniform_support()):
-        raise PhaseFunctionError("member 0 is not a unit state on balanced support")
-    _check_dense_memory(state.shape)
-    sign, _ = _transposition_sign(state, state.to_dense(), tol)
-    d, copies = state.shape.d, state.shape.copies
-    residual = _raising_residuals(state.digits, state.values[None], d)[0]
-    if residual > max(tol, 1e-12) * 100:
-        raise PhaseFunctionError(
-            f"member 0 is not collectively invariant (residual {residual:.3e})"
-        )
-    if d >= 2 and (sign == -1) != (copies % 2 == 1):
-        raise PhaseFunctionError(f"transposition sign {sign} contradicts K = {copies}")
-    return PHASE_SIGNUM if sign == -1 else PHASE_TRIVIAL
+    state = basis[0]
+    if not state.is_normalized(DEFAULT_TOL):
+        raise PhaseFunctionError("member 0 is not a unit state")
+    return phase_stamp(state).permutation_phase
 
 
 def _basis_document(basis: SingletBasis, seed: int, phase: str | None, states) -> dict:

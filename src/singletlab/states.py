@@ -757,7 +757,13 @@ def _marginal_factors(
 def _marginal_blocks(
     digits: np.ndarray, amps: np.ndarray, sites: Sequence[int], d: int
 ) -> np.ndarray:
-    """Reduced matrix ``F @ F^H`` on ``sites`` of each aligned amplitude row."""
+    """Reduced matrix ``F @ F^H`` on ``sites`` of each aligned amplitude row, priced first.
+
+    Per row: a ``d**k x m`` factor, ``m`` at most the support rows, and its block.
+    """
+    n, dim = digits.shape[1], d ** len(sites)
+    need = 16 * len(amps) * dim * (len(digits) + dim)
+    _require_memory(need, f"{len(sites)}-site marginals of n={n} sites with d={d} levels")
     factors = _marginal_factors(digits, amps, sites, d)
     return factors @ factors.conj().transpose(0, 2, 1)
 

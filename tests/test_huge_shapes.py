@@ -2,9 +2,9 @@
 
 A shape whose basis or dense image could never fit is refused with a
 :class:`MemoryError` (CLI exit 2), even when its byte count overflows a
-float; ``verify``, which forms no dense image, answers a basis of such a
-shape, and a one-level shape of any length is answered, with no
-recursion as deep as ``n``.
+float; the commands, which check invariance exactly and form no dense
+image, answer a state or basis of such a shape, and a one-level shape of
+any length is answered, with no recursion as deep as ``n``.
 """
 
 import itertools
@@ -77,11 +77,28 @@ class TestAstronomicalShapes:
         assert len(captured.err) < 250
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["check-invariance", "verify-lemmas"])
-    def test_dense_measure_exits_2(self, command, huge_state_file, capsys):
+    @pytest.mark.parametrize(
+        "command,lines",
+        [
+            ("check-invariance", ["residual: 23.4520787991", "invariant: no"]),
+            (
+                "verify-lemmas",
+                [
+                    "member 0: phase measurement failed: state is not collectively "
+                    "invariant (residual 2.345e+01)",
+                    "all lemma checks: FAIL",
+                ],
+            ),
+        ],
+        ids=["check-invariance", "verify-lemmas"],
+    )
+    def test_exact_measure_exits_1(self, command, lines, huge_state_file, capsys):
+        # sqrt(550): each stored row's 550 ones are raised to their own images.
         flag = "--state" if command == "check-invariance" else "--basis"
-        assert main([command, flag, huge_state_file]) == 2
-        assert capsys.readouterr().err.startswith("error: a dense image of n=1100 sites")
+        assert main([command, flag, huge_state_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert set(lines) <= set(captured.out.splitlines())
 
     def test_verify_names_the_first_non_invariant_member(self):
         # sqrt(550): each of a member's 550 ones is raised to its own image.
