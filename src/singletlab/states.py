@@ -438,10 +438,20 @@ def joint_amplitudes(states: Sequence[PureState]) -> tuple[np.ndarray, np.ndarra
 
     Returns ``(digits, amps)``: the union of the stored multi-indices in
     lexicographic order, and per state a row of its amplitudes on them.
+    Raises :class:`MemoryError` before allocating when the concatenated
+    digits and their int64 sort keys, or then the digits and the
+    amplitude matrix, cannot fit.  The sort's own index arrays are not
+    counted.
     """
     shape = _common_shape(states)
+    n, d = shape.n, shape.d
+    rows = sum(state.values.size for state in states)
+    what = f"joining {len(states)} states of n={n} sites with d={d} levels"
+    held = rows * n * states[0].digits.itemsize
+    _require_memory(held + 8 * rows * -(-n // _word_digits(d, n)), what)
     digits = np.concatenate([state.digits for state in states])
-    inverse, first = _group_rows(digits, shape.d)
+    inverse, first = _group_rows(digits, d)
+    _require_memory(held + 16 * len(states) * first.size, what)
     owner = np.repeat(np.arange(len(states)), [state.values.size for state in states])
     amps = np.zeros((len(states), first.size), dtype=complex)
     amps[owner, inverse] = np.concatenate([state.values for state in states])
@@ -793,12 +803,31 @@ def _pair_sums(
 _CHUNK_BYTES = 4 << 20
 
 
+def _code_ranks(d: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupation profiles of the ``width``-digit codes, each code's profile and rank.
+
+    Returns ``(kinds, sector, rank)``: the distinct label counts in
+    lexicographic order, the one of each code, and the number of smaller
+    codes with the same counts, so that ranks keep the codes' order.
+    """
+    codes = np.arange(d**width)
+    counts = np.zeros((codes.size, d), dtype=np.intp)
+    for weight in _weights(d, width):
+        counts[codes, codes // weight % d] += 1
+    kinds, sector = np.unique(counts, axis=0, return_inverse=True)
+    sector = sector.reshape(-1)  # flat in every numpy version
+    rows = np.bincount(sector)
+    rank = np.empty(codes.size, dtype=np.intp)
+    rank[np.argsort(sector, kind="stable")] = codes - np.repeat(np.cumsum(rows) - rows, rows)
+    return kinds, sector, rank
+
+
 def _kept_sectors(
-    state: PureState, k: int
+    state: PureState, profile: SupportProfile | None, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sector of each ``k``-site code, its rank inside the sector, and each sector's shape.
 
-    With a common support profile ``P`` a sector holds the codes of one
+    With the common support profile ``P`` a sector holds the codes of one
     occupation profile ``p``, and the columns of its factor are the
     complement rows of profile ``P - p``: at most the stored rows and at
     most the words of that profile.  Without one, every code is in one
@@ -806,24 +835,35 @@ def _kept_sectors(
     lexicographic order of the codes.
     """
     n, d, count = state.shape.n, state.shape.d, state.values.size
-    profile = state.common_profile()
-    codes = np.arange(d**k)
     if profile is None:
-        sector = np.zeros(d**k, dtype=np.intp)
+        sector, rank = np.zeros(d**k, dtype=np.intp), np.arange(d**k)
         width = [min(count, d ** (n - k))]
     else:
-        labels = codes[:, None] // _weights(d, k) % d
-        counts = np.sum(labels[:, :, None] == np.arange(d), axis=1)
-        kinds, sector = np.unique(counts, axis=0, return_inverse=True)
-        sector = sector.reshape(-1)  # flat in every numpy version
+        kinds, sector, rank = _code_ranks(d, k)
         width = [
             min(count, SupportProfile(rest).size()) if rest.min() >= 0 else 0
             for rest in np.array(profile.counts) - kinds
         ]
-    rows = np.bincount(sector)
-    rank = np.empty(d**k, dtype=np.intp)
-    rank[np.argsort(sector, kind="stable")] = codes - np.repeat(np.cumsum(rows) - rows, rows)
-    return sector, rank, rows, np.array(width, dtype=np.intp)
+    return sector, rank, np.bincount(sector), np.array(width, dtype=np.intp)
+
+
+def _complement_ranks(
+    state: PureState, profile: SupportProfile | None, k: int
+) -> np.ndarray | None:
+    """Factor column of every complement code on a complete support, else None.
+
+    A support is complete when every stored row has the profile ``P``
+    and every word of ``P`` is stored.  The complement rows beside the
+    kept rows of profile ``p`` are then all the words of ``P - p``, in
+    lexicographic order, so a complement row's column is its rank among
+    the words of its own profile: one table serves every subset.  The
+    table is built only when its ``d**(n - k)`` codes are no more than
+    the stored rows.
+    """
+    n, d, count = state.shape.n, state.shape.d, state.values.size
+    if profile is None or d ** (n - k) > count or count != profile.size():
+        return None
+    return _code_ranks(d, n - k)[2]
 
 
 def _sort_rows(
@@ -853,36 +893,30 @@ def _sector_factors(
     codes: np.ndarray,
     values: np.ndarray,
     sector: np.ndarray,
-    rank: np.ndarray,
-    rows: np.ndarray,
-    width: np.ndarray,
+    offsets: np.ndarray,
+    size: int,
     spread: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Every sector factor of a chunk of subsets, side by side in one flat array.
 
-    ``codes`` and ``spread`` are as :func:`_sort_rows` takes them, the
-    sector arrays as :func:`_kept_sectors` gives them.  The distinct
-    complement rows of a sector, in order, are its factor's first
-    columns.  Returns the factors and each sector's offset: sector ``p``
-    of subset ``s`` is the ``rows[p] x width[p]`` matrix at
-    ``starts[p] + s * rows[p] * width[p]``.
+    ``codes`` and ``spread`` are as :func:`_sort_rows` takes them, and
+    the row of kept code ``c`` in subset ``s`` begins at ``offsets[s, c]``.
+    The distinct complement rows of a sector, in order, are its factor's
+    first columns.
     """
     order, kept, fresh = _sort_rows(codes, sector, spread)
-    m = len(kept)
+    m, sectors = len(kept), int(sector.max()) + 1
     each = np.arange(m)[:, None]
-    spans = m * rows * width
-    starts = np.cumsum(spans) - spans
-    distinct = np.bincount((each * rows.size + sector[kept])[fresh], minlength=m * rows.size)
+    distinct = np.bincount((each * sectors + sector[kept])[fresh], minlength=m * sectors)
     distinct = distinct.reshape(m, -1)
     # A row's column counts the distinct complement rows up to its own,
     # less those of the subset's earlier sectors.
     earlier = np.cumsum(distinct, axis=1) - distinct + 1
-    offsets = starts[sector] + (rank + each * rows[sector]) * width[sector] - earlier[:, sector]
     index = np.cumsum(fresh, axis=1)
-    index += offsets[each, kept]
-    factors = np.zeros(spans.sum(), dtype=complex)
+    index += (offsets - earlier[:, sector])[each, kept]
+    factors = np.zeros(size, dtype=complex)
     factors[index] = values[order]
-    return factors, starts
+    return factors
 
 
 def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> np.ndarray:
@@ -901,12 +935,15 @@ def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> 
     The first subset is priced as its dense marginal and refused with
     :class:`MemoryError` when that cannot fit, before any other is read.
     The subsets then go in chunks of at most :data:`_CHUNK_BYTES`, one
-    subset when less is available.  A chunk's kept and complement codes come from one
-    float product of the digits with the subsets' place values, exact
-    because every word stays below ``2**52``.  One sort per subset
-    numbers its distinct complement rows, sector by sector, one fancy
-    assignment fills every factor, and each sector is one batched
-    ``matmul``.
+    subset when less is available.  A chunk's kept and complement codes
+    come from one float product of the digits with the subsets' place
+    values, exact because every word stays below ``2**52``.  Each stored
+    row's factor column is its complement row's rank among the distinct
+    complement rows of its sector.  On a complete support (every word of
+    ``P`` stored, see :func:`_complement_ranks`) that rank is read from
+    one table per call; otherwise one sort per subset numbers them.  One
+    fancy assignment fills every factor, laid out alike on both routes,
+    and each sector is one batched ``matmul``.
     """
     n, d = state.shape.n, state.shape.d
     count = state.values.size
@@ -918,10 +955,14 @@ def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> 
     # The factor and its conjugate beside the block, then the block, its
     # difference from I / dim and two real temporaries of the deviation.
     _require_memory(need, f"a {k}-site marginal of n={n} sites with d={d} levels")
-    sector, rank, rows, width = _kept_sectors(state, k)
+    profile = state.common_profile()
+    sector, rank, rows, width = _kept_sectors(state, profile, k)
+    ranks = _complement_ranks(state, profile, k)
     # Complement digits per word, leaving room for the sector in front of
     # the first word; the factor 2 below 2**53 covers the rounded log2.
-    step = max(1, n - k if d == 1 else int((52 - math.log2(rows.size)) // math.log2(d)))
+    # A rank table's codes fit one word: there are no more than ``count``.
+    whole = d == 1 or ranks is not None
+    step = max(1, n - k if whole else int((52 - math.log2(rows.size)) // math.log2(d)))
     words = max(1, -(-(n - k) // step))
     spread = float(d ** min(step, n - k))
     # Per subset: its place values and codes, then about a dozen
@@ -946,15 +987,20 @@ def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> 
         for word in range(words):
             part = rest[:, word * step : (word + 1) * step]
             places[1 + word, each, part] = _weights(d, part.shape[1])
-        factors, starts = _sector_factors(
-            (places.reshape(-1, n) @ columns).reshape(1 + words, m, count),
-            state.values,
-            sector,
-            rank,
-            rows,
-            width,
-            spread,
-        )
+        codes = (places.reshape(-1, n) @ columns).reshape(1 + words, m, count)
+        # Sector p of subset s is the rows[p] x width[p] matrix at
+        # starts[p] + s * rows[p] * width[p]; kept code c's row in it
+        # begins at offsets[s, c].
+        spans = m * rows * width
+        starts = np.cumsum(spans) - spans
+        offsets = starts[sector] + (rank + each * rows[sector]) * width[sector]
+        length = int(spans.sum())
+        if ranks is None:
+            factors = _sector_factors(codes, state.values, sector, offsets, length, spread)
+        else:
+            kept, other = codes.astype(np.intp)
+            factors = np.zeros(length, dtype=complex)
+            factors[offsets[each, kept] + ranks[other]] = state.values
         total = np.zeros(m)
         for start, r, c in zip(starts, rows, width):
             factor = factors[start : start + m * r * c].reshape(m, r, c)

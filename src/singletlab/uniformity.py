@@ -14,6 +14,10 @@ profile, so every ``k``-site marginal is block-diagonal in the kept
 sites' occupation numbers.  :func:`is_k_uniform` forms only those
 diagonal blocks, one occupation sector at a time, for a chunk of
 subsets per batched product; the chunk is held to a fixed byte budget.
+A random invariant state stores every word of its profile at every
+shape tested: its support is complete.  Each block's columns are then
+all the complement words of one profile, numbered by one rank table for
+every subset rather than by one sort per subset.
 """
 
 from __future__ import annotations
@@ -94,7 +98,13 @@ def is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> Uniformi
     one block.  The deviation stays entrywise, the sum over ``p`` of
     ``||B_p - I / D||^2``, because the entries between sectors are exact
     zeros; a maximally mixed marginal still reads about ``1e-33``, not
-    the roundoff of ``P - (2 N - 1) / D``.  The subsets go through in
+    the roundoff of ``P - (2 N - 1) / D``.  On a complete support, every
+    word of ``P`` stored, the columns of ``F_p`` are all the complement
+    words of profile ``P - p``, and one rank table of the complement
+    codes numbers them for every subset (when it has no more entries
+    than the support has rows); any other support sorts each subset's
+    rows.  Both number the columns alike, so the report is the same to
+    the bit.  The subsets go through in
     chunks held to a fixed byte budget, down to one subset when the
     memory limit is lower; a subset whose dense marginal could not fit
     is refused with :class:`MemoryError` before any work.
