@@ -11,7 +11,8 @@ Every JSON artifact records the tolerance and seed that produced it.
 Invariance and the permutation phase follow one exact rule in every
 command, read on the support with the collective raising operators
 (:func:`~singletlab.singlet.phase_stamp`); only ``verify``'s trials and
-``optimize``'s restarts draw random numbers.
+``optimize``'s restarts draw random numbers, both from
+``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -109,9 +110,12 @@ def cmd_uniformity(args: argparse.Namespace) -> int:
 def _load_members(path: str):
     """Accept either a basis document or a single state document."""
     document = _json.load(path)
-    if "states" in document:
-        return list(basis_from_dict(document).states)
-    return [state_from_dict(document)]
+    if "states" not in document:
+        return [state_from_dict(document)]
+    members = list(basis_from_dict(document).states)
+    if not members:
+        raise ValueError("basis is empty")
+    return members
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:

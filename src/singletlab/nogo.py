@@ -16,14 +16,15 @@ arithmetic; the numerical checker replays both facts on sampled states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .singlet import SingletBasis, _random_amplitudes, invariance_limit
-from .singlet import _raising_price, _raising_residuals, _raising_terms
+from .singlet import SingletBasis, _complex_normal, _generator, invariance_limit
+from .singlet import _random_amplitudes, _raising_price, _raising_residuals, _raising_terms
 # perfbench's tracer wraps verify_invariance through this binding.
 from .singlet import verify_invariance  # noqa: F401
 from .states import DEFAULT_TOL, PureState, SystemShape, _require_memory
@@ -225,24 +226,26 @@ def verify_certificate_numerically(
     are orthonormal, and each member's :func:`_raising_residuals`, an
     exact check, is small, checked a chunk of members at a time.  Then
     draws ``trials`` seeded random combinations straight into amplitude
-    rows on the support, the same states :meth:`SingletBasis.random_state`
-    draws, and checks that each is normalized, that the counting sum
-    matches the certificate's exact value within ``tol``, the pair
-    deficit never drops below the floor minus ``tol``, and the pair
-    deficit equals its Werner form (see :func:`_werner_form`), read from
-    the same marginals, within ``tol``.  Trials are replayed in batches,
-    one batched marginal product per site pair on the support columns
-    some trial of the batch uses, and checked in trial order.
+    rows on the support, the states ``basis.sample(trials, seed)`` draws
+    from ``random.Random(seed)``, and checks that each is normalized,
+    that the counting sum matches the certificate's exact value within
+    ``tol``, the pair deficit never drops below the floor minus ``tol``,
+    and the pair deficit equals its Werner form (see
+    :func:`_werner_form`), read from the same marginals, within ``tol``.
+    Trials are replayed in batches, one batched marginal product per site
+    pair on the support columns some trial of the batch uses, and checked
+    in trial order.
 
     Raises :class:`CertificateViolationError` on any failure; for an
     honest basis the bounds hold by construction, so a violation means
     the input does not span the subspace it claims to.  Raises
-    :class:`ValueError` when ``d`` does not divide ``n`` and
-    :class:`MemoryError`, before any check, when one batch of trials or
-    one chunk of the raising check cannot fit in memory.
+    :class:`ValueError` when ``d`` does not divide ``n`` or the seed is
+    negative, and :class:`MemoryError`, before any check, when one batch
+    of trials or one chunk of the raising check cannot fit in memory.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    rng = _generator(seed)
     if basis.dimension == 0:
         raise ValueError("basis is empty")
     n, d = basis.shape.n, basis.shape.d
@@ -276,14 +279,14 @@ def verify_certificate_numerically(
     del terms  # the replay's batches are priced without them
     actual = float(certificate.actual)
     floor = float(certificate.deficit_floor)
-    rng = np.random.default_rng(seed)
     worst_identity = 0.0
     least_deficit = float("inf")
     for first in range(0, trials, batch):
         rows = np.zeros((min(batch, trials - first), len(basis.support)), dtype=complex)
         norms = []
         for row in rows:
-            kept, values = _random_amplitudes(basis.amplitudes, rng)
+            coeffs = _complex_normal(rng, basis.dimension)
+            kept, values = _random_amplitudes(basis.amplitudes, coeffs)
             row[kept] = values
             norms.append(float(np.linalg.norm(values)))
         used = np.flatnonzero(rows.any(axis=0))
@@ -309,7 +312,7 @@ def verify_certificate_numerically(
                 )
     return CertificateCheck(
         trials=trials,
-        seed=seed,
+        seed=operator.index(seed),
         max_identity_residual=worst_identity,
         min_pair_deficit=least_deficit,
         deficit_floor=floor,

@@ -20,20 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .nogo import _fraction_to_dict, certify
-from .singlet import SingletBasis
+from .singlet import SingletBasis, _complex_normal, _generator
 from .states import DEFAULT_TOL, _weights, state_to_dict
 # The objective calls no marginal routine; perfbench's tracer wraps
 # cross_marginal through this binding.
 from .states import cross_marginal  # noqa: F401
 from .uniformity import pair_deficit
-
-if TYPE_CHECKING:
-    from random import Random
 
 __all__ = [
     "PairDeficitObjective",
@@ -146,28 +143,6 @@ class PairDeficitObjective:
         scale = 2.0 * kappa * (d * t * pairs - s.sum()) + 2.0 * self._one_level * pairs * t
         scale -= 2.0 * pairs / d**2
         return value, weights @ products + scale * c
-
-
-def _generator(seed: int) -> Random:
-    """``random.Random(seed)`` for a seed ``>= 0``, read with ``operator.index`` as numpy reads it.
-
-    :class:`ValueError` on a negative seed, which ``random.Random`` would
-    silently fold onto its absolute value.
-    """
-    # Not a module-level import: ``import singletlab`` stays without it,
-    # though the interpreter's start-up has usually loaded it already.
-    import random
-
-    seed = index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return random.Random(seed)
-
-
-def _complex_normal(rng: Random, size: int) -> np.ndarray:
-    """Complex vector from ``2 size`` standard normal draws: real half first."""
-    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * size)])
-    return draw[:size] + 1j * draw[size:]
 
 
 def _descend(

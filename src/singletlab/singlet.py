@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import permutations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from .states import (
     # Unused here; perfbench's tracer wraps superpose through this binding.
     superpose,  # noqa: F401
 )
+
+if TYPE_CHECKING:
+    from random import Random
 
 __all__ = [
     "PhaseFunctionError",
@@ -223,31 +226,56 @@ class SingletBasis:
         return PureState._from_arrays(self.shape, self.support, total, canonicalize=True)
 
     def random_state(self, rng: np.random.Generator) -> PureState:
-        """One normalized state with complex Gaussian coefficients."""
-        if self.dimension == 0:
-            raise ValueError("basis is empty")
-        kept, values = _random_amplitudes(self.amplitudes, rng)
-        return PureState._from_arrays(self.shape, self.support[kept], values)
+        """One normalized state with complex Gaussian coefficients drawn from ``rng``."""
+        r = self.dimension
+        return self._random_state(rng.standard_normal(r) + 1j * rng.standard_normal(r))
 
     def sample(self, count: int, seed: int = 0) -> list[PureState]:
-        """Seeded batch of random subspace states."""
-        rng = np.random.default_rng(seed)
-        return [self.random_state(rng) for _ in range(count)]
+        """Seeded batch of random subspace states, drawn as ``verify`` draws its trials.
+
+        State ``t``'s coefficients are the ``t``-th :func:`_complex_normal`
+        draw of :func:`_generator`'s ``random.Random(seed)``.
+        """
+        rng = _generator(seed)
+        return [self._random_state(_complex_normal(rng, self.dimension)) for _ in range(count)]
+
+    def _random_state(self, coeffs: np.ndarray) -> PureState:
+        if self.dimension == 0:
+            raise ValueError("basis is empty")
+        kept, values = _random_amplitudes(self.amplitudes, coeffs)
+        return PureState._from_arrays(self.shape, self.support[kept], values)
 
 
-def _random_amplitudes(
-    amplitudes: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stored columns and amplitudes of one normalized random combination of ``amplitudes``' rows.
+def _generator(seed: int) -> Random:
+    """``random.Random(seed)`` for a seed ``>= 0``, read with ``operator.index`` as numpy reads it.
 
-    The coefficients are complex Gaussian, scaled to unit norm; the
-    combination keeps its nonzero entries, rephased so that the first is
-    real and positive, divided by their norm.
+    :class:`ValueError` on a negative seed, which ``random.Random`` would
+    silently fold onto its absolute value.
     """
-    r = len(amplitudes)
-    coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    coeffs /= np.linalg.norm(coeffs)
-    total = coeffs @ amplitudes
+    # Not a module-level import: ``import singletlab`` stays without it,
+    # though the interpreter's start-up has usually loaded it already.
+    import random
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _complex_normal(rng: Random, size: int) -> np.ndarray:
+    """Complex vector from ``2 size`` standard normal draws: real half first."""
+    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * size)])
+    return draw[:size] + 1j * draw[size:]
+
+
+def _random_amplitudes(amplitudes: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stored columns and amplitudes of the normalized combination of ``amplitudes``' rows.
+
+    The coefficients are scaled to unit norm; the combination keeps its
+    nonzero entries, rephased so that the first is real and positive,
+    divided by their norm.
+    """
+    total = (coeffs / np.linalg.norm(coeffs)) @ amplitudes
     kept = np.flatnonzero(total)
     values = _canonical_phase(total[kept])
     norm = float(np.linalg.norm(values))

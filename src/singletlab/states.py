@@ -259,11 +259,23 @@ def _canonical_phase(values: np.ndarray) -> np.ndarray:
         return values
     lead = complex(values[0])
     phase = lead / abs(lead)
-    # Python's complex division, not numpy's multiply-by-reciprocal,
-    # so canonical amplitudes keep the same bits in written files.
-    values = np.array([value / phase for value in values.tolist()])
-    values[0] = abs(lead)
-    return values
+    # CPython's complex division (Smith's steps, scaled by the larger
+    # part of the divisor), not numpy's, so canonical amplitudes keep
+    # the bits of ``value / phase`` in written files.
+    re, im = values.real, values.imag
+    quotient = np.empty(values.shape, dtype=complex)
+    if abs(phase.real) >= abs(phase.imag):
+        ratio = phase.imag / phase.real
+        denom = phase.real + phase.imag * ratio
+        quotient.real = (re + im * ratio) / denom
+        quotient.imag = (im - re * ratio) / denom
+    else:
+        ratio = phase.real / phase.imag
+        denom = phase.real * ratio + phase.imag
+        quotient.real = (re * ratio + im) / denom
+        quotient.imag = (im * ratio - re) / denom
+    quotient[0] = abs(lead)
+    return quotient
 
 
 class PureState:

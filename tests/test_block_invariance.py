@@ -6,10 +6,11 @@ the collective raising operators ``E_a``, and draws its trials straight
 into amplitude rows on the basis support.  The references kept here are
 a dense oracle of ``E_a`` built from ``kron`` products, the per-member
 Haar loop (one ``verify_invariance`` per member), and trials drawn as
-``basis.random_state`` states.
+``basis.sample`` states.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from singletlab import (
     verify_certificate_numerically,
 )
 from singletlab import nogo
-from singletlab.singlet import _random_amplitudes, verify_invariance
+from singletlab.singlet import _complex_normal, _random_amplitudes, verify_invariance
 
 from conftest import kron_chain, random_balanced_state
 
@@ -208,14 +209,14 @@ def test_trial_rows_are_random_states_on_the_support(basis_cache, n, d):
     basis = basis_cache(n, d)
     r = basis.dimension
     for seed in range(3):
-        drawn, states, combined = (np.random.default_rng(seed) for _ in range(3))
-        for _ in range(3):
-            kept, values = _random_amplitudes(basis.amplitudes, drawn)
+        drawn, combined = random.Random(seed), random.Random(seed)
+        for state in basis.sample(3, seed):
+            kept, values = _random_amplitudes(basis.amplitudes, _complex_normal(drawn, r))
             row = np.zeros(len(basis.support), dtype=complex)
             row[kept] = values
-            assert np.array_equal(row, place(basis, basis.random_state(states)))
+            assert np.array_equal(row, place(basis, state))
             # The rule itself: unit Gaussian coefficients, combined and normalized.
-            coeffs = combined.standard_normal(r) + 1j * combined.standard_normal(r)
+            coeffs = _complex_normal(combined, r)
             coeffs /= np.linalg.norm(coeffs)
             assert np.array_equal(row, place(basis, basis.combine(coeffs).normalized()))
 
@@ -242,8 +243,7 @@ def test_replayed_rows_are_the_joint_amplitudes_of_random_states(
     monkeypatch.setattr(nogo, "_replay_sums", spy)
     monkeypatch.setattr(nogo, "_replay_batch", lambda basis, trials: 2)
     verify_certificate_numerically(basis, trials=5, seed=4)
-    rng = np.random.default_rng(4)
-    states = [basis.random_state(rng) for _ in range(5)]
+    states = basis.sample(5, 4)
     assert [len(amps) for _, amps in seen] == [2, 2, 1]
     for (digits, amps), first in zip(seen, range(0, 5, 2)):
         expected_digits, expected_amps = joint_amplitudes(states[first : first + 2])

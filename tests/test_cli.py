@@ -125,13 +125,16 @@ class TestVerifyLemmas:
     def test_product_state_fails(self, product_file):
         assert main(["verify-lemmas", "--basis", product_file]) == 1
 
-    def test_empty_basis_still_writes_its_artifact(self, tmp_path, capsys):
-        basis, report = str(tmp_path / "b.json"), str(tmp_path / "r.json")
-        assert main(["subspace", "--n", "5", "--d", "2", "--out", basis]) == 0
-        assert main(["verify-lemmas", "--basis", basis, "--out", report]) == 0
-        assert "all lemma checks: pass" in capsys.readouterr().out
-        payload = json.loads(open(report).read())
-        assert payload["members"] == [] and payload["passed"] is True
+    @pytest.mark.parametrize("n,d", [(5, 2), (4, 2)])
+    def test_empty_basis_is_exit_2(self, tmp_path, capsys, n, d):
+        basis, report = tmp_path / "b.json", tmp_path / "r.json"
+        document = {"n": n, "d": d, "dimension": 0, "tolerance": 1e-9, "states": []}
+        basis.write_text(json.dumps(document))
+        assert main(["verify-lemmas", "--basis", str(basis), "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: basis is empty\n"
+        assert not report.exists()
 
 
 class TestCertify:

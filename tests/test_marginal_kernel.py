@@ -125,8 +125,7 @@ def test_verify_shared_pair_marginals_match_public_functions(basis_cache, key, s
     public functions compute on the same trial states."""
     basis = basis_cache(*key)
     check = verify_certificate_numerically(basis, trials=trials, seed=seed)
-    rng = np.random.default_rng(seed)
-    states = [basis.random_state(rng) for _ in range(trials)]
+    states = basis.sample(trials, seed)
     actual = float(certify(basis.shape).actual)
     assert check.min_pair_deficit == min(pair_deficit(state) for state in states)
     assert check.max_identity_residual == max(

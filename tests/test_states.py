@@ -24,7 +24,7 @@ from singletlab import (
     superpose,
 )
 from singletlab.singlet import standard_traceless_generators
-from singletlab.states import _local_image
+from singletlab.states import _canonical_phase, _local_image
 
 from conftest import (
     dense_marginal,
@@ -93,6 +93,66 @@ class TestSupportProfile:
     def test_two_site_example(self):
         indices = enumerate_support(SystemShape(2, 2), SupportProfile((1, 1)))
         assert indices == [(0, 1), (1, 0)]
+
+
+def listed_canonical_phase(values):
+    """Reference: one Python complex division per entry."""
+    if not values.size or (values[0].imag == 0.0 and values[0].real > 0.0):
+        return values
+    lead = complex(values[0])
+    phase = lead / abs(lead)
+    values = np.array([value / phase for value in values.tolist()])
+    values[0] = abs(lead)
+    return values
+
+
+class TestCanonicalPhase:
+    """The vectorized division keeps the bits of Python's ``value / phase``."""
+
+    @staticmethod
+    def assert_same_bits(values):
+        expected = listed_canonical_phase(values.copy())
+        actual = _canonical_phase(values.copy())
+        assert actual.dtype == expected.dtype == complex
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "lead",
+        [
+            0.3 + 0.1j,  # |re| >= |im|
+            -0.1 + 0.3j,  # |im| > |re|
+            0.2 - 0.2j,  # a tie takes the real branch
+            -0.7 + 0j,
+            complex(-0.7, -0.0),
+            complex(-0.0, 0.4),
+            complex(0.0, -0.4),
+            0.5 + 0j,  # already canonical
+        ],
+    )
+    def test_matches_python_division(self, lead):
+        rng = np.random.default_rng(7)
+        for size in [1, 2, 17, 924]:
+            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            values[0] = lead
+            self.assert_same_bits(values)
+
+    def test_signed_zero_parts(self):
+        rng = np.random.default_rng(8)
+        for lead in [0.6 - 0.8j, -0.8 + 0.6j, -1.0 + 0j]:
+            values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+            values.real[1::3] = -0.0
+            values.imag[2::3] = -0.0
+            values.real[3::5] = 0.0
+            values.imag[4::5] = 0.0
+            values[0] = lead
+            self.assert_same_bits(values)
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            size = int(rng.integers(1, 60))
+            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            self.assert_same_bits(values * 10.0 ** rng.integers(-150, 150))
 
 
 class TestPureState:
