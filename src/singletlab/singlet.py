@@ -322,9 +322,11 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
     determinant state on that column's sites.  Its lexicographically
     first multi-index is the tableau's row word, with amplitude 1, and
     the words are distinct, so the products are in echelon form with
-    unit leading entries.  Integer back-substitution brings them to the
-    reduced row echelon form, Gram-Schmidt in that order (one QR)
-    restores orthonormality, and each member is phase-canonicalized.
+    unit leading entries.  One solve against their unit upper triangular
+    pivot columns brings them to the reduced row echelon form, exactly:
+    its LU swaps no rows and every value stays an integer.  Gram-Schmidt
+    in that order (one QR) restores orthonormality, and each member is
+    phase-canonicalized.
 
     ``tol`` is the smallest accepted Gram-Schmidt pivot relative to the
     norm of its echelon row.  Returns an empty basis when ``d`` does not
@@ -372,9 +374,7 @@ def build_singlet_basis(shape: SystemShape, tol: float = DEFAULT_TOL) -> Singlet
     echelon = np.zeros((dim, len(support)))
     echelon[np.arange(dim)[:, None], np.searchsorted(codes, terms)] = signs
     # Amplitude of word t in product r: unit upper triangular.
-    triangle = echelon[:, pivots]
-    for row in range(dim - 2, -1, -1):
-        echelon[row] -= triangle[row, row + 1 :] @ echelon[row + 1 :]
+    echelon = np.linalg.solve(echelon[:, pivots], echelon)
     ortho, upper = np.linalg.qr(echelon.T)
     ratios = np.abs(np.diagonal(upper)) / np.linalg.norm(echelon, axis=1)
     if ratios.min() < tol:

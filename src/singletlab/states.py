@@ -881,54 +881,31 @@ def _complement_ranks(
 def _sort_rows(
     codes: np.ndarray, sector: np.ndarray, spread: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort each subset's stored rows by sector, then by complement row.
+    """Sort each subset's stored rows by sector, then by complement row, and number their columns.
 
     ``codes[0]`` holds the kept code and ``codes[1:]`` the complement
     words of every (subset, stored row); the first word is overwritten
     with the row's sector in front, ``spread`` being its place value.
-    Returns the sort order, the kept codes in that order and whether
-    each sorted row starts a new complement row.  Kept apart from
-    :func:`_sector_factors` so that the codes are freed before the
-    factors are laid out.
+    Returns the sort order, the kept codes in that order and each sorted
+    row's factor column: its complement row's rank among the distinct
+    complement rows of its sector, counted once the sorted codes are freed.
     """
     words, m, count = len(codes) - 1, codes.shape[1], codes.shape[2]
+    each, sectors = np.arange(m)[:, None], int(sector.max()) + 1
     codes[1] += sector[codes[0].astype(np.intp)] * spread
     order = np.argsort(codes[1], axis=1) if words == 1 else np.lexsort(codes[:0:-1], axis=1)
-    codes = codes.reshape(1 + words, -1)[:, (order + np.arange(m)[:, None] * count).ravel()]
-    codes = codes.reshape(1 + words, m, count)
+    codes = codes.reshape(1 + words, -1)[:, (order + each * count).ravel()].reshape(codes.shape)
     fresh = np.ones((m, count), dtype=bool)
     fresh[:, 1:] = np.any(codes[1:, :, 1:] != codes[1:, :, :-1], axis=0)
-    return order, codes[0].astype(np.intp), fresh
-
-
-def _sector_factors(
-    codes: np.ndarray,
-    values: np.ndarray,
-    sector: np.ndarray,
-    offsets: np.ndarray,
-    size: int,
-    spread: float,
-) -> np.ndarray:
-    """Every sector factor of a chunk of subsets, side by side in one flat array.
-
-    ``codes`` and ``spread`` are as :func:`_sort_rows` takes them, and
-    the row of kept code ``c`` in subset ``s`` begins at ``offsets[s, c]``.
-    The distinct complement rows of a sector, in order, are its factor's
-    first columns.
-    """
-    order, kept, fresh = _sort_rows(codes, sector, spread)
-    m, sectors = len(kept), int(sector.max()) + 1
-    each = np.arange(m)[:, None]
-    distinct = np.bincount((each * sectors + sector[kept])[fresh], minlength=m * sectors)
-    distinct = distinct.reshape(m, -1)
-    # A row's column counts the distinct complement rows up to its own,
-    # less those of the subset's earlier sectors.
-    earlier = np.cumsum(distinct, axis=1) - distinct + 1
-    index = np.cumsum(fresh, axis=1)
-    index += (offsets - earlier[:, sector])[each, kept]
-    factors = np.zeros(size, dtype=complex)
-    factors[index] = values[order]
-    return factors
+    kept = codes[0].astype(np.intp)
+    del codes
+    # Slot s * sectors + p holds sector p of subset s.  The sorted rows
+    # visit the slots in order, each slot's first row fresh; a trailing
+    # empty slot starts past the end and is clipped, as no row reads it.
+    slot = (each * sectors + sector[kept]).ravel()
+    column = np.cumsum(fresh)
+    column -= np.take(column, np.searchsorted(slot, np.arange(m * sectors)), mode="clip")[slot]
+    return order, kept, column.reshape(m, count)
 
 
 def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> np.ndarray:
@@ -953,9 +930,9 @@ def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> 
     row's factor column is its complement row's rank among the distinct
     complement rows of its sector.  On a complete support (every word of
     ``P`` stored, see :func:`_complement_ranks`) that rank is read from
-    one table per call; otherwise one sort per subset numbers them.  One
-    fancy assignment fills every factor, laid out alike on both routes,
-    and each sector is one batched ``matmul``.
+    one table per call; otherwise one batched sort per chunk numbers
+    them (:func:`_sort_rows`).  Both routes end in one scatter that fills
+    every factor, and each sector is one batched ``matmul``.
     """
     n, d = state.shape.n, state.shape.d
     count = state.values.size
@@ -1008,11 +985,13 @@ def _marginal_deviations(state: PureState, subsets: Iterable[Sequence[int]]) -> 
         offsets = starts[sector] + (rank + each * rows[sector]) * width[sector]
         length = int(spans.sum())
         if ranks is None:
-            factors = _sector_factors(codes, state.values, sector, offsets, length, spread)
+            order, kept, column = _sort_rows(codes, sector, spread)
+            values = state.values[order]
         else:
             kept, other = codes.astype(np.intp)
-            factors = np.zeros(length, dtype=complex)
-            factors[offsets[each, kept] + ranks[other]] = state.values
+            column, values = ranks[other], state.values
+        factors = np.zeros(length, dtype=complex)
+        factors[offsets[each, kept] + column] = values
         total = np.zeros(m)
         for start, r, c in zip(starts, rows, width):
             factor = factors[start : start + m * r * c].reshape(m, r, c)
@@ -1049,7 +1028,9 @@ def cross_marginal(
 
 def _require_unit_norm(norm: float, tol: float) -> None:
     if not abs(norm - 1.0) <= tol:
-        raise ValueError(f"state norm is {norm:.12g}, expected 1 within {tol:.1e}")
+        raise ValueError(
+            f"state norm is {norm:.12g}, expected 1 within {tol:.1e} (off by {abs(norm - 1):.3e})"
+        )
 
 
 def _require_normalized(state: PureState, tol: float) -> None:

@@ -17,7 +17,7 @@ subsets per batched product; the chunk is held to a fixed byte budget.
 A random invariant state stores every word of its profile at every
 shape tested: its support is complete.  Each block's columns are then
 all the complement words of one profile, numbered by one rank table for
-every subset rather than by one sort per subset.
+every subset rather than by a sort of each chunk's rows.
 """
 
 from __future__ import annotations
