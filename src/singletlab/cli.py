@@ -121,7 +121,7 @@ def _load_members(path: str):
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     members = _load_members(args.basis)
     all_passed = True
-    results = []
+    results, lines = [], []
     for position, member in enumerate(members):
         d = member.shape.d
         constant_counts = member.common_profile() is not None
@@ -131,7 +131,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
             phase, det_power, residual = report.permutation_phase, report.det_power, report.residual
         except PhaseFunctionError as exc:
             phase = det_power = residual = None
-            print(f"member {position}: phase measurement failed: {exc}")
+            lines.append(f"member {position}: phase measurement failed: {exc}")
         dichotomy = phase is not None
         # A label permutation is a product of at most d(d-1)/2 adjacent
         # transpositions.  check_sign_relation bounds a transposition's largest
@@ -144,7 +144,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
             for swap in adjacent_transpositions(d)
         )
         all_passed = all_passed and constant_counts and balanced and dichotomy and sign_relation
-        print(
+        lines.append(
             f"member {position}: dichotomy={'pass' if dichotomy else 'FAIL'}"
             + (f" ({phase}, det power {det_power})" if dichotomy else "")
             + f", sign-relation={'pass' if sign_relation else 'FAIL'}"
@@ -156,6 +156,8 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
             phase_residual=residual, sign_relation=sign_relation,
             constant_counts=constant_counts, balanced_support=balanced,
         ))
+    # Printed once every member is checked, so an input error (exit 2) prints nothing.
+    print(*lines, sep="\n")
     print(f"all lemma checks: {'pass' if all_passed else 'FAIL'}")
     document = {"seed": args.seed, "tolerance": args.tol, "members": results}
     document["passed"] = all_passed
@@ -211,7 +213,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"converged: {'yes' if result.converged else 'no'}")
     print(f"best deficit: {result.deficit:.12g}")
     print(f"certificate floor: {result.floor:.12g}")
-    _write(result_to_dict(result, basis), args.out)
+    document = result_to_dict(result, basis)
+    document["tolerance"] = args.tol
+    _write(document, args.out)
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "PairDeficitObjective",
     "OptimizationResult",
     "minimize_deficit",
-    "gradient_check",
     "result_to_dict",
 ]
 
@@ -74,8 +73,8 @@ class PairDeficitObjective:
     unit sphere or off it, for an orthonormal invariant basis.  At
     ``d = 1`` every marginal is the ``1 x 1`` matrix ``(t)`` and
     ``s_A = t``, where the bracket is 0/0; the term it stands for,
-    ``sum_A tr tau_A**2``, is ``P t**2`` there.  Build
-    memory is ``B``, one permuted copy of it and ``P r**2`` complex swap
+    ``sum_A tr tau_A**2``, is ``P t**2`` there.  Build memory is ``B``,
+    its conjugate, one permuted copy of it and ``P r**2`` complex swap
     entries.
     """
 
@@ -94,6 +93,7 @@ class PairDeficitObjective:
         digits = basis.support.astype(np.int64)
         weights = _weights(d, n)
         codes = digits @ weights
+        conjugate = basis.amplitudes.conj()
         swaps = np.empty((len(pairs), r, r), dtype=complex)
         for swap, (a, b) in zip(swaps, pairs):
             # Base-d code of each support row with digits a and b exchanged.
@@ -101,7 +101,7 @@ class PairDeficitObjective:
             rows = np.minimum(np.searchsorted(codes, image), codes.size - 1)
             # An image outside the support has amplitude 0 in every member.
             moved = np.where(codes[rows] == image, basis.amplitudes[:, rows], 0.0)
-            swap[...] = basis.amplitudes.conj() @ moved.T
+            swap[...] = conjugate @ moved.T
         self._swaps = swaps.reshape(len(pairs) * r, r)
         self._pairs = len(pairs)
         self._d = d
@@ -300,45 +300,6 @@ def minimize_deficit(
         restart_deficits=tuple(outcome[1][-1] for outcome in outcomes),
         restart_iterations=tuple(outcome[3] for outcome in outcomes),
     )
-
-
-def gradient_check(
-    basis: SingletBasis,
-    coefficients: Sequence[complex] | None = None,
-    seed: int = 0,
-    step: float = 1e-5,
-    directions: int = 10,
-) -> float:
-    """Worst mismatch between analytic and central-difference derivatives.
-
-    Probes ``directions`` random tangent directions at the given point
-    (a random unit point when none is supplied), all drawn from
-    ``random.Random(seed)`` like :func:`minimize_deficit`'s start points,
-    and returns the largest
-    ``|finite difference - analytic| / max(1, |analytic|)``.
-    A one-dimensional basis has no tangent directions that change the
-    state, so the check returns 0 there.
-    """
-    rng = _generator(seed)
-    objective = PairDeficitObjective(basis)
-    if basis.dimension == 1:
-        return 0.0
-    r = basis.dimension
-    c = _complex_normal(rng, r) if coefficients is None else np.asarray(coefficients, dtype=complex)
-    c = c / np.linalg.norm(c)
-    _, wirtinger = objective.value_and_gradient(c)
-    gradient = 2.0 * wirtinger
-    worst = 0.0
-    for _ in range(directions):
-        direction = _complex_normal(rng, r)
-        direction -= np.vdot(c, direction).real * c
-        direction /= np.linalg.norm(direction)
-        forward = objective.value(c + step * direction)
-        backward = objective.value(c - step * direction)
-        numeric = (forward - backward) / (2.0 * step)
-        analytic = float(np.vdot(gradient, direction).real)
-        worst = max(worst, abs(numeric - analytic) / max(1.0, abs(analytic)))
-    return worst
 
 
 def result_to_dict(result: OptimizationResult, basis: SingletBasis) -> dict:

@@ -70,7 +70,6 @@ __all__ = [
     "SubspaceRankError",
     "PhaseFunctionReport",
     "SingletBasis",
-    "standard_traceless_generators",
     "expected_dimension",
     "haar_unitary",
     "check_memory",
@@ -98,33 +97,6 @@ class PhaseFunctionError(ValueError):
 class SubspaceRankError(RuntimeError):
     """The tableau count disagrees with the hook-length dimension, or a
     Gram-Schmidt pivot ratio falls below ``tol``."""
-
-
-def standard_traceless_generators(d: int) -> list[np.ndarray]:
-    """Hermitian traceless basis of the one-site algebra.
-
-    Returns ``d**2 - 1`` matrices: for every pair ``a < b`` the symmetric
-    and antisymmetric off-diagonal pair, then the ``d - 1`` differences
-    of consecutive diagonal projectors.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    gens: list[np.ndarray] = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0
-            asym = np.zeros((d, d), dtype=complex)
-            asym[a, b] = -1.0j
-            asym[b, a] = 1.0j
-            gens.append(sym)
-            gens.append(asym)
-    for a in range(d - 1):
-        diag = np.zeros((d, d), dtype=complex)
-        diag[a, a] = 1.0
-        diag[a + 1, a + 1] = -1.0
-        gens.append(diag)
-    return gens
 
 
 def expected_dimension(shape: SystemShape) -> int:

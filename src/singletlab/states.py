@@ -14,16 +14,15 @@ marginals, is built on the handful of primitives defined here:
 * :class:`LocalOperator`: a one-site operator applied identically to
   every site, with exact fast paths for basis permutations and
   diagonal phases.
-* :func:`apply_local`, :func:`permute_particles`, :func:`apply_collective`,
-  :func:`partial_trace`, :func:`cross_marginal`: the operations the rest
-  of the package uses.  Every marginal comes from one kernel that
-  scatters amplitudes into a (subsystem index) x (complement row)
-  factor ``F``.  A state's own marginal is ``F @ F^H``; only
-  :func:`cross_marginal` forms cross blocks ``X @ Y^H``.  The
-  k-uniformity deviations take a chunk of subsets at once and split
-  ``F`` by the kept sites' occupation numbers, forming only the
-  diagonal blocks of a state with one support profile.  No ``d**n``
-  vector is formed.
+* :func:`apply_local`, :func:`permute_particles`, :func:`partial_trace`,
+  :func:`cross_marginal`: the operations the rest of the package uses.
+  Every marginal comes from one kernel that scatters amplitudes into a
+  (subsystem index) x (complement row) factor ``F``.  A state's own
+  marginal is ``F @ F^H``; only :func:`cross_marginal` forms cross
+  blocks ``X @ Y^H``.  The k-uniformity deviations take a chunk of
+  subsets at once and split ``F`` by the kept sites' occupation
+  numbers, forming only the diagonal blocks of a state with one
+  support profile.  No ``d**n`` vector is formed.
 
 Sites are indexed ``0 .. n-1`` and levels are labeled ``0 .. d-1``
 throughout.  Multi-indices compare lexicographically, which fixes the
@@ -56,7 +55,6 @@ __all__ = [
     "enumerate_support",
     "apply_local",
     "permute_particles",
-    "apply_collective",
     "partial_trace",
     "cross_marginal",
     "joint_amplitudes",
@@ -669,23 +667,6 @@ def _collective_sum(
     for row, terms in zip(total, weights * rows[:, columns]):
         np.add.at(row, inverse, terms)
     return total
-
-
-def apply_collective(state: PureState, matrix: np.ndarray) -> PureState:
-    """Apply the collective operator ``sum_a g^(a)`` (one-site ``g`` summed over sites).
-
-    This is the infinitesimal counterpart of :func:`apply_local` and is
-    what annihilates collectively invariant states when ``g`` is
-    traceless.  Sparse: cost is ``O(terms * n * d)``.  The one-row case
-    of the sums ``verify`` runs on its members.
-    """
-    g = np.asarray(matrix, dtype=complex)
-    d = state.shape.d
-    if g.shape != (d, d):
-        raise ValueError(f"generator must be {d}x{d}, got {g.shape}")
-    columns, weights, inverse, first, images = _collective_terms(state.digits, g, d)
-    total = _collective_sum(state.values[None], columns, weights, inverse, first.size)
-    return PureState._from_arrays(state.shape, images[first], total[0])
 
 
 def superpose(

@@ -25,7 +25,6 @@ from singletlab import (
     counting_sum,
     expected_dimension,
     extract_phase_function,
-    gradient_check,
     is_ame,
     is_k_uniform,
     minimize_deficit,
@@ -35,6 +34,7 @@ from singletlab import (
 from singletlab.singlet import all_label_permutations
 
 from conftest import random_dense_state
+from reference import gradient_check
 
 DIVISIBLE_SHAPES = [(2, 2), (3, 3), (4, 2), (6, 2), (6, 3)]
 

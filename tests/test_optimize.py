@@ -19,7 +19,6 @@ from singletlab import (
     SystemShape,
     certify,
     cross_marginal,
-    gradient_check,
     minimize_deficit,
     optimize,
     pair_deficit,
@@ -27,6 +26,8 @@ from singletlab import (
     result_to_dict,
     save_basis,
 )
+
+from reference import gradient_check
 
 
 def random_unit_coefficients(r, rng):

@@ -27,10 +27,11 @@ from singletlab import (
     load_basis,
     verify_invariance,
 )
-from singletlab.singlet import all_label_permutations, standard_traceless_generators
+from singletlab.singlet import all_label_permutations
 from singletlab import LocalOperator
 
 from conftest import DATA_DIR, kron_chain, random_dense_state
+from reference import standard_traceless_generators
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,6 @@ from singletlab import (
     PureState,
     SupportProfile,
     SystemShape,
-    apply_collective,
     apply_local,
     cross_marginal,
     enumerate_support,
@@ -23,7 +22,6 @@ from singletlab import (
     permute_particles,
     superpose,
 )
-from singletlab.singlet import standard_traceless_generators
 from singletlab.states import _canonical_phase, _local_image
 
 from conftest import (
@@ -33,6 +31,7 @@ from conftest import (
     random_dense_state,
     tensordot_local_image,
 )
+from reference import apply_collective, standard_traceless_generators
 
 
 class TestSystemShape:
